@@ -47,7 +47,7 @@ from .minimality import (
     is_minimal,
     linked_vertex_duplication,
 )
-from .model import GroupElement, GroupModel, model_from_plan, round_trip_report
+from .model import GroupElement, GroupModel, round_trip_report
 from .realizability import (
     GirthClassification,
     RealizabilityVerdict,

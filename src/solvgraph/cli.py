@@ -43,6 +43,7 @@ from .synthesis import (
     plan_from_json_dict,
     plan_to_json_dict,
     synthesize,
+    validate_plan,
 )
 
 EXIT_OK = 0
@@ -181,14 +182,26 @@ def _load_plan(path: str):
     return plan_from_json_dict(json.loads(_read(path)))
 
 
+def _load_model(path: str) -> GroupModel | None:
+    """Model of a plan that passes validate_plan; None, with the problems
+    on stderr, when it does not."""
+    plan = _load_plan(path)
+    problems = validate_plan(plan)
+    for problem in problems:
+        print(f"invalid plan: {problem}", file=sys.stderr)
+    return None if problems else GroupModel(plan)
+
+
 def _cmd_prime_graph(args) -> int:
-    model = GroupModel(_load_plan(args.plan))
+    if (model := _load_model(args.plan)) is None:
+        return EXIT_NEGATIVE
     print(emit_edge_list(model.compute_prime_graph()), end="")
     return EXIT_OK
 
 
 def _cmd_digraph(args) -> int:
-    model = GroupModel(_load_plan(args.plan))
+    if (model := _load_model(args.plan)) is None:
+        return EXIT_NEGATIVE
     print(emit_arc_list(model.compute_frobenius_digraph()), end="")
     return EXIT_OK
 
@@ -202,7 +215,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    model = GroupModel(_load_plan(args.plan))
+    if (model := _load_model(args.plan)) is None:
+        return EXIT_NEGATIVE
     sigma = model.sigma_of_model()
     count = len(model.primes())
     _emit_json(

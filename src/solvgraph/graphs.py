@@ -354,22 +354,7 @@ def neighborhood(g: LabeledGraph, v: str, k: int) -> frozenset[str]:
     """Vertices at shortest-path distance exactly k from v."""
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    adj = g.adjacency()
-    dist = {v: 0}
-    frontier = [v]
-    depth = 0
-    while frontier and depth < k:
-        depth += 1
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = depth
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(u for u, d in dist.items() if d == k)
+    return _ring(g.adjacency(), v, k)
 
 
 def directed_neighborhood(o: Orientation, v: str, k: int, direction: str) -> frozenset[str]:
@@ -380,11 +365,15 @@ def directed_neighborhood(o: Orientation, v: str, k: int, direction: str) -> fro
     """
     if v not in o.vertices:
         raise ValueError(f"unknown vertex {v!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if direction not in ("in", "out"):
         raise ValueError('direction must be "in" or "out"')
-    step = o.in_neighbors() if direction == "in" else o.out_neighbors()
+    return _ring(o.in_neighbors() if direction == "in" else o.out_neighbors(), v, k)
+
+
+def _ring(step: dict, v: str, k: int) -> frozenset[str]:
+    """Vertices at distance exactly k from v along ``step``, by BFS."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     dist = {v: 0}
     frontier = [v]
     depth = 0

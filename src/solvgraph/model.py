@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-import numpy as np
-
 from . import modmat
 from .analysis import analyze
 from .errors import LimitExceeded
@@ -47,16 +45,20 @@ class _ModuleFactor:
     vertex: str
     prime: int
     dim: int
-    action: dict[str, np.ndarray]  # acting vertex -> matrix, trivial omitted
+    action: dict[str, modmat.Monomial]  # acting vertex -> matrix, trivial omitted
 
 
 class GroupModel:
-    """Concrete group built from a GroupPlan; immutable once constructed."""
+    """Concrete group built from a GroupPlan; immutable once constructed.
+
+    The plan's orientation is validated here, once; its analysis is kept
+    as ``self.analysis``.
+    """
 
     def __init__(self, plan: GroupPlan):
         self.plan = plan
         o = plan.orientation
-        a = analyze(o)
+        a = self.analysis = analyze(o)
         self.k_factors: tuple[tuple[str, int, str], ...] = tuple(
             (v, plan.prime_of[v], "O" if v in a.o_set else "D")
             for v in o.vertices
@@ -70,17 +72,12 @@ class GroupModel:
                 continue
             if v in plan.modules:
                 spec = plan.modules[v]
-                action = {
-                    w: modmat.from_rows(rows, spec.characteristic)
-                    for w, rows in spec.generator_action.items()
-                }
                 factors.append(
-                    _ModuleFactor(v, spec.characteristic, spec.dimension, action)
+                    _ModuleFactor(v, spec.characteristic, spec.dimension, spec.generator_action)
                 )
             else:
                 factors.append(_ModuleFactor(v, plan.prime_of[v], 1, {}))
         self.modules: tuple[_ModuleFactor, ...] = tuple(factors)
-        self._rho_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     # -- element plumbing --------------------------------------------------
 
@@ -172,7 +169,7 @@ class GroupModel:
 
     # -- module action ---------------------------------------------------------
 
-    def rho(self, j: int, k: tuple[int, ...]) -> np.ndarray:
+    def rho(self, j: int, k: tuple[int, ...]) -> modmat.Monomial:
         """Action matrix of the K-element k on module j.
 
         The element factors as (double part) times (source part), and the
@@ -180,24 +177,13 @@ class GroupModel:
         action act trivially.
         """
         f = self.modules[j]
-        key_parts = tuple(
-            k[i] if self.k_factors[i][0] in f.action else 0
-            for i in range(len(self.k_factors))
-        )
-        cached = self._rho_cache.get((j, key_parts))
-        if cached is not None:
-            return cached
         mat = modmat.identity(f.dim)
         for role_wanted in ("D", "O"):
             for i, (v, _, role) in enumerate(self.k_factors):
-                if role != role_wanted or not key_parts[i] or v not in f.action:
-                    continue
-                mat = modmat.mat_mul(
-                    mat, modmat.mat_pow(f.action[v], key_parts[i], f.prime), f.prime
-                )
-        if len(self._rho_cache) > 20_000:
-            self._rho_cache.clear()
-        self._rho_cache[(j, key_parts)] = mat
+                if role == role_wanted and k[i] and v in f.action:
+                    mat = modmat.multiply(
+                        mat, modmat.power(f.action[v], k[i], f.prime), f.prime
+                    )
         return mat
 
     # -- group arithmetic -------------------------------------------------------
@@ -209,12 +195,8 @@ class GroupModel:
         for j, f in enumerate(self.modules):
             if len(x.mods[j]) != f.dim or len(y.mods[j]) != f.dim:
                 raise ValueError("element shape does not match the model")
-            mat = self.rho(j, x.k)
-            vec = np.array(y.mods[j], dtype=np.int64)
-            moved = modmat.mat_vec(mat, vec, f.prime)
-            mods.append(
-                tuple(int((a + b) % f.prime) for a, b in zip(x.mods[j], moved))
-            )
+            moved = modmat.apply(self.rho(j, x.k), y.mods[j], f.prime)
+            mods.append(tuple((a + b) % f.prime for a, b in zip(x.mods[j], moved)))
         return GroupElement(self.k_multiply(x.k, y.k), tuple(mods))
 
     def inverse(self, x: GroupElement) -> GroupElement:
@@ -244,10 +226,7 @@ class GroupModel:
         for j, f in enumerate(self.modules):
             if not any(x.mods[j]):
                 continue
-            mat = self.rho(j, x.k)
-            transfer = modmat.geometric_sum(mat, n_k, f.prime)
-            moved = modmat.mat_vec(transfer, np.array(x.mods[j], dtype=np.int64), f.prime)
-            if np.any(moved):
+            if any(modmat.transfer_apply(self.rho(j, x.k), n_k, x.mods[j], f.prime)):
                 total *= f.prime
         return total
 
@@ -263,11 +242,8 @@ class GroupModel:
         while current != identity:
             mods = []
             for j, f in enumerate(self.modules):
-                vec = np.array(current.mods[j], dtype=np.int64)
-                moved = (rhos[j] @ vec) % primes[j]
-                mods.append(
-                    tuple(int((a + b) % primes[j]) for a, b in zip(x.mods[j], moved))
-                )
+                moved = modmat.apply(rhos[j], current.mods[j], primes[j])
+                mods.append(tuple((a + b) % primes[j] for a, b in zip(x.mods[j], moved)))
             current = GroupElement(self.k_multiply(x.k, current.k), tuple(mods))
             n += 1
             if n > limit:
@@ -284,21 +260,7 @@ class GroupModel:
         have order p) fixes a nonzero vector of module f."""
         if vertex not in f.action:
             return True
-        mat = f.action[vertex]
-        mono = modmat.monomial_parts(mat)
-        if mono is not None:
-            power = mono
-            for _ in range(1, p):
-                if modmat.monomial_has_fixed_vector(power[0], power[1], f.prime):
-                    return True
-                power = modmat.monomial_mul(power, mono, f.prime)
-            return False
-        power = mat
-        for _ in range(1, p):
-            if modmat.has_fixed_vector(power, f.prime):
-                return True
-            power = modmat.mat_mul(power, mat, f.prime)
-        return False
+        return modmat.has_fixed_vector(f.action[vertex], f.prime, range(1, p))
 
     def compute_prime_graph(self) -> LabeledGraph:
         """Structural prime graph: one vertex per prime, edges by action rules.
@@ -397,8 +359,7 @@ class GroupModel:
                 if i < nk:
                     continue
                 f = self.modules[i - nk]
-                mat = self.rho(i - nk, witness)
-                if not modmat.has_fixed_vector(mat, f.prime):
+                if not modmat.has_fixed_vector(self.rho(i - nk, witness), f.prime):
                     ok = False
                     break
             if ok:
@@ -426,16 +387,11 @@ class GroupModel:
                 str(p) for _, p, _ in self.k_factors if n_k % p == 0
             ]
             for j, f in enumerate(self.modules):
-                transfer = modmat.geometric_sum(self.rho(j, k), n_k, f.prime)
-                if np.any(transfer):
+                if not modmat.transfer_is_zero(self.rho(j, k), n_k, f.prime):
                     realized.append(str(f.prime))
             for u, v in combinations(realized, 2):
                 edges.add((u, v))
         return LabeledGraph(labels, edges)
-
-
-def model_from_plan(plan: GroupPlan) -> GroupModel:
-    return GroupModel(plan)
 
 
 def round_trip_report(plan: GroupPlan) -> dict:
@@ -456,7 +412,7 @@ def round_trip_report(plan: GroupPlan) -> dict:
     )
     return {
         "schema": "solvgraph.verify/1",
-        "plan_valid": not validate_plan(plan),
+        "plan_valid": not validate_plan(plan, model.analysis),
         "digraph_matches": set(digraph.arcs) == expected_arcs,
         "prime_graph_matches": (
             set(prime_graph.vertices) == set(expected_graph.vertices)

@@ -1,145 +1,168 @@
-"""Dense matrix arithmetic over prime fields, on top of numpy int64.
+"""Monomial matrices over prime fields, in plain Python.
 
-Entries are kept reduced mod p.  With dimensions <= ~250 and p <= ~10**6
-all intermediate products fit comfortably in int64 (guarded below).
+Every module action the synthesizer builds is monomial: one nonzero
+entry per row and per column.  Such a matrix is held as a pair
+``(perm, scale)`` with ``a[perm[j]][j] = scale[j]``: it maps the basis
+vector e_j to ``scale[j] * e_perm[j]``.  Scales are reduced mod the field
+size r and nonzero.
+
+Powers, fixed vectors and transfer sums are answered one permutation
+cycle at a time in O(dim) field operations.  On a cycle of length L
+whose scales multiply to c, the L-th power of the matrix is c times the
+identity; the closed forms below rest on that.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from math import gcd
 
-Matrix = np.ndarray
-
-# d * p**2 must stay below 2**63 for an unreduced mat-mul row sum.
-_MAX_PRIME = 6_000_000
+Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _check(p: int, dim: int) -> None:
-    if p > _MAX_PRIME:
-        raise ValueError(f"modulus {p} too large for int64 matrix kernels")
-    if dim * p * p >= 2**63:
-        raise ValueError(f"dimension {dim} with modulus {p} risks int64 overflow")
-
-
-def identity(dim: int) -> Matrix:
-    return np.eye(dim, dtype=np.int64)
-
-
-def from_rows(rows, p: int) -> Matrix:
-    m = np.array(rows, dtype=np.int64) % p
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    _check(p, m.shape[0])
-    return m
-
-
-def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    return (a @ b) % p
-
-
-def mat_vec(a: Matrix, v: Matrix, p: int) -> Matrix:
-    return (a @ v) % p
-
-
-def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
-    result = identity(a.shape[0])
-    base = a % p
-    while e > 0:
-        if e & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
-        e >>= 1
-    return result
-
-
-def geometric_sum(a: Matrix, n: int, p: int) -> Matrix:
-    """I + a + a**2 + ... + a**(n-1) mod p, by halving."""
-    dim = a.shape[0]
-    if n == 0:
-        return np.zeros((dim, dim), dtype=np.int64)
-    if n == 1:
-        return identity(dim)
-    half = geometric_sum(a, n // 2, p)
-    total = (half + mat_pow(a, n // 2, p) @ half) % p
-    if n % 2:
-        total = (total + mat_pow(a, n - 1, p)) % p
-    return total
-
-
-def nullity(a: Matrix, p: int) -> int:
-    """dim ker(a) over GF(p), by Gaussian elimination."""
-    m = a.copy() % p
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = pivots[0] + rank
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = m[rank] * inv % p
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] = (m[r] - m[r, col] * m[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return cols - rank
-
-
-def has_fixed_vector(a: Matrix, p: int) -> bool:
-    """True iff a has a nonzero fixed vector, i.e. ker(a - I) != 0."""
-    return nullity((a - identity(a.shape[0])) % p, p) > 0
-
-
-def monomial_parts(a: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Decompose a monomial matrix into (perm, scale) with a[perm[j], j] = scale[j].
-
-    Returns None when the matrix is not monomial.  Monomial structure lets
-    fixed-space questions be answered per permutation cycle in O(dim).
-    """
-    dim = a.shape[0]
-    perm = []
-    scale = []
-    for j in range(dim):
-        nz = np.nonzero(a[:, j])[0]
-        if nz.size != 1:
-            return None
-        perm.append(int(nz[0]))
-        scale.append(int(a[nz[0], j]))
-    if len(set(perm)) != dim:
-        return None
+def from_rows(rows, r: int) -> Monomial:
+    """(perm, scale) of a row-major matrix; ValueError unless it is square
+    and monomial mod r."""
+    dim = len(rows)
+    perm = [-1] * dim
+    scale = [0] * dim
+    for i, row in enumerate(rows):
+        if len(row) != dim:
+            raise ValueError("matrix must be square")
+        for j, x in enumerate(row):
+            if x % r:
+                if perm[j] != -1:
+                    raise ValueError(f"matrix is not monomial: column {j} has two nonzero entries")
+                perm[j] = i
+                scale[j] = x % r
+    if -1 in perm or len(set(perm)) != dim:
+        raise ValueError("matrix is not monomial: some row or column has no single nonzero entry")
     return tuple(perm), tuple(scale)
 
 
-def monomial_has_fixed_vector(perm: tuple[int, ...], scale: tuple[int, ...], p: int) -> bool:
-    """Fixed vector exists iff some cycle of perm has scale product 1 mod p."""
-    dim = len(perm)
-    seen = [False] * dim
-    for start in range(dim):
-        if seen[start]:
-            continue
-        prod = 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            prod = prod * scale[j] % p
-            j = perm[j]
-        if prod == 1:
-            return True
-    return False
+def to_rows(a: Monomial) -> tuple[tuple[int, ...], ...]:
+    perm, scale = a
+    rows = [[0] * len(perm) for _ in perm]
+    for j, i in enumerate(perm):
+        rows[i][j] = scale[j]
+    return tuple(map(tuple, rows))
 
 
-def monomial_mul(
-    a: tuple[tuple[int, ...], tuple[int, ...]],
-    b: tuple[tuple[int, ...], tuple[int, ...]],
-    p: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Product a @ b of monomial matrices in (perm, scale) form."""
+def identity(dim: int) -> Monomial:
+    return tuple(range(dim)), (1,) * dim
+
+
+def multiply(a: Monomial, b: Monomial, r: int) -> Monomial:
+    """The product a @ b."""
     pa, sa = a
     pb, sb = b
-    perm = tuple(pa[pb[j]] for j in range(len(pa)))
-    scale = tuple(sb[j] * sa[pb[j]] % p for j in range(len(pa)))
-    return perm, scale
+    return tuple(pa[i] for i in pb), tuple(sb[j] * sa[i] % r for j, i in enumerate(pb))
+
+
+def commute(a: Monomial, b: Monomial, r: int) -> bool:
+    return multiply(a, b, r) == multiply(b, a, r)
+
+
+def apply(a: Monomial, v, r: int) -> tuple[int, ...]:
+    """The vector a @ v."""
+    perm, scale = a
+    out = [0] * len(perm)
+    for j, i in enumerate(perm):
+        out[i] = scale[j] * v[j] % r
+    return tuple(out)
+
+
+def _cycles(a: Monomial, r: int, turns: int = 1):
+    """Yield (cycle, prefix) per cycle of the permutation: the cycle listed
+    along j -> perm[j], and prefix[t] the product of the scales met in the
+    first t steps along it, for t up to ``turns`` times its length."""
+    perm, scale = a
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        while not seen[perm[cycle[-1]]]:
+            cycle.append(perm[cycle[-1]])
+            seen[cycle[-1]] = True
+        prefix = [1]
+        for t in range(len(cycle) * turns):
+            prefix.append(prefix[-1] * scale[cycle[t % len(cycle)]] % r)
+        yield cycle, prefix
+
+
+def _geometric(c: int, q: int, r: int) -> int:
+    """1 + c + ... + c**(q-1) mod r."""
+    if c == 1:
+        return q % r
+    return (pow(c, q, r) - 1) * pow(c - 1, -1, r) % r
+
+
+def power(a: Monomial, e: int, r: int) -> Monomial:
+    """a**e for e >= 0: with e = qL + s on a cycle of length L and scale
+    product c, each entry moves s steps on, scaled by c**q times the s
+    scales it passes."""
+    perm = [0] * len(a[0])
+    scale = [0] * len(a[0])
+    for cycle, prefix in _cycles(a, r, 2):
+        length = len(cycle)
+        q, s = divmod(e, length)
+        turns = pow(prefix[length], q, r)
+        for i, j in enumerate(cycle):
+            perm[j] = cycle[(i + s) % length]
+            scale[j] = turns * prefix[i + s] * pow(prefix[i], -1, r) % r if s else turns
+    return tuple(perm), tuple(scale)
+
+
+def has_fixed_vector(a: Monomial, r: int, exponents=(1,)) -> bool:
+    """True iff a**e fixes a nonzero vector for some e in ``exponents``.
+
+    A cycle of a of length L and scale product c splits into gcd(e, L)
+    cycles of a**e, each with scale product c**(e / gcd(e, L)); a fixed
+    vector exists exactly when one of those products is 1.
+    """
+    kinds = {(len(cycle), prefix[-1]) for cycle, prefix in _cycles(a, r)}
+    return any(pow(c, e // gcd(e, length), r) == 1 for length, c in kinds for e in exponents)
+
+
+def transfer_is_zero(a: Monomial, n: int, r: int) -> bool:
+    """True iff I + a + ... + a**(n-1) is the zero matrix.
+
+    On a cycle of length L with n = qL + s, the sum has coefficient
+    1 + c + ... + c**q at the first s powers of a and 1 + ... + c**(q-1)
+    at the others.  These differ by c**q != 0, so the block vanishes
+    exactly when s = 0 and the second sum is 0 mod r.
+    """
+    for cycle, prefix in _cycles(a, r):
+        q, s = divmod(n, len(cycle))
+        if s or _geometric(prefix[-1], q, r):
+            return False
+    return True
+
+
+def transfer_apply(a: Monomial, n: int, v, r: int) -> tuple[int, ...]:
+    """(I + a + ... + a**(n-1)) @ v.
+
+    On a cycle of length L, n = qL + s gives the sum
+    (1 + ... + c**(q-1)) W_L + c**q W_s, where W_w is the sum of the first
+    w powers.  Component m of W_w v gathers v from the w cycle positions
+    up to m, each carried forward to m.  Dividing position i by the prefix
+    product P[i] makes each gather a window sum of one list, in which a
+    window that wraps past position 0 picks up a factor c.
+    """
+    out = [0] * len(a[0])
+    for cycle, prefix in _cycles(a, r):
+        length = len(cycle)
+        q, s = divmod(n, length)
+        c = prefix[length]
+        carried = [v[j] * pow(prefix[i], -1, r) % r for i, j in enumerate(cycle)]
+        sums = [0]  # running totals of (c * carried) followed by carried
+        for x in [c * x for x in carried] + carried:
+            sums.append((sums[-1] + x) % r)
+        full = _geometric(c, q, r)
+        turns = pow(c, q, r)
+        for m, j in enumerate(cycle):
+            end = sums[length + m + 1]
+            total = full * (end - sums[m + 1]) + turns * (end - sums[length + m - s + 1])
+            out[j] = prefix[m] * total % r
+    return tuple(out)

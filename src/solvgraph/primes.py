@@ -1,21 +1,24 @@
 """Prime searches and multiplicative-order utilities.
 
-Everything here works with exact integer arithmetic; the moduli that show
-up in practice stay well below 10**7, so a deterministic Miller-Rabin test
-with a fixed base set is more than enough.
+Everything here works with exact integer arithmetic.  Primality is a
+Miller-Rabin test with the twelve prime bases 2..37, which is
+deterministic for every n < 2**64; larger inputs are refused.
 """
 
 from __future__ import annotations
 
 from .errors import LimitExceeded
 
-# Deterministic for n < 3,215,031,751; our search caps are far lower.
-_MR_BASES = (2, 3, 5, 7)
-
+# The first twelve primes: as Miller-Rabin bases they decide every n < 2**64
+# (the least strong pseudoprime to all of them is about 3.3 * 10**24).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIMALITY_LIMIT = 2**64
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < 2**64; ValueError above that."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"primality of {n} is not decided above 2**64")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -28,7 +31,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -63,23 +66,6 @@ def smallest_prime(modulus: int, residue: int, used: set[int], cap: int = 10**6)
     raise LimitExceeded(
         f"no unused prime p = {residue} (mod {modulus}) below {cap}"
     )
-
-
-def element_of_order(order: int, order_factors: tuple[int, ...], modulus: int) -> int:
-    """Smallest a > 1 whose multiplicative order mod ``modulus`` is exactly ``order``.
-
-    ``order_factors`` must list the distinct prime factors of ``order``;
-    callers always know them (the orders arising here are products of
-    distinct primes).  Requires order | modulus - 1.
-    """
-    if (modulus - 1) % order != 0:
-        raise ValueError(f"{order} does not divide {modulus}-1")
-    for a in range(2, modulus):
-        if pow(a, order, modulus) != 1:
-            continue
-        if all(pow(a, order // f, modulus) != 1 for f in order_factors):
-            return a
-    raise ValueError(f"no element of order {order} mod {modulus}")
 
 
 def elements_of_order(order: int, order_factors: tuple[int, ...], modulus: int):

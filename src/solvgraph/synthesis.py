@@ -24,14 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import modmat
-from .analysis import analyze
+from .analysis import DigraphAnalysis, analyze
 from .errors import LimitExceeded
-from .graphs import LabeledGraph, Orientation, directed_neighborhood
+from .graphs import Orientation, directed_neighborhood, orientation_from_arcs
 from .primes import elements_of_order, is_prime, smallest_prime
-from .realizability import validate_frobenius_orientation
 
 PLAN_SCHEMA = "solvgraph.plan/1"
 
@@ -46,13 +43,14 @@ DEFAULT_MODULE_RETRIES = 32
 class ModuleSpec:
     """Module over a prime field with one action matrix per acting vertex.
 
-    Matrices are row-major tuples over the field with ``characteristic``
-    elements; vertices absent from the map act trivially.
+    Matrices are monomial, held as ``(perm, scale)`` pairs over the field
+    with ``characteristic`` elements (see modmat); vertices absent from
+    the map act trivially.
     """
 
     characteristic: int
     dimension: int
-    generator_action: dict[str, tuple[tuple[int, ...], ...]]
+    generator_action: dict[str, modmat.Monomial]
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,7 @@ def select_primes(
     o: Orientation,
     congruence: str = CONGRUENCE_GLOBAL,
     cap: int = DEFAULT_PRIME_CAP,
+    analysis: DigraphAnalysis | None = None,
 ) -> dict[str, int]:
     """Assign distinct primes to vertices, smallest admissible first.
 
@@ -91,11 +90,12 @@ def select_primes(
     need q = 1 (mod p): in global mode p is the product of all source
     primes, in per-arc mode only of the in-neighbor primes.  A sink with
     a nonempty 1-in-neighborhood needs r = 1 modulo the product of those
-    primes; other sinks take the smallest unused prime.
+    primes; other sinks take the smallest unused prime.  ``analysis``,
+    when given, is the analysis of o and spares its re-validation.
     """
     if congruence not in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
         raise ValueError(f"unknown congruence mode {congruence!r}")
-    a = analyze(o)
+    a = analysis if analysis is not None else analyze(o)
     into = o.in_neighbors()
     assigned: dict[str, int] = {}
     used: set[int] = set()
@@ -210,7 +210,7 @@ def build_module(
         tries += 1
         if tries > max_character_tries:
             break
-        action: dict[str, tuple[tuple[int, ...], ...]] = {}
+        action: dict[str, modmat.Monomial] = {}
         for w in phi1:
             p_w = primes[w]
             lam_w = pow(lam, m // p_w, r)
@@ -220,14 +220,9 @@ def build_module(
             for _ in range(d):
                 diag.append(pow(lam_w, exponent, r))
                 exponent = exponent * inv % p_w
-            action[w] = tuple(
-                tuple(diag[i] if i == j else 0 for j in range(d)) for i in range(d)
-            )
+            action[w] = (tuple(range(d)), tuple(diag))
         for s in phi2:
-            rows = [[0] * d for _ in range(d)]
-            for j in range(d):
-                rows[(j + shift[s]) % d][j] = 1
-            action[s] = tuple(tuple(row) for row in rows)
+            action[s] = (tuple((j + shift[s]) % d for j in range(d)), (1,) * d)
         spec = ModuleSpec(characteristic=r, dimension=d, generator_action=action)
         problems = verify_module(spec, {w: primes[w] for w in phi1 + phi2}, set(phi1), set(phi2))
         if not problems:
@@ -253,75 +248,46 @@ def verify_module(
     """
     r = spec.characteristic
     d = spec.dimension
-    problems = []
     if set(spec.generator_action) != phi1 | phi2:
         return [f"acting vertices {sorted(spec.generator_action)} do not match the in-neighborhoods"]
-    mats = {}
-    for w, rows in spec.generator_action.items():
-        mat = modmat.from_rows(rows, r)
-        if mat.shape != (d, d):
+    mats = spec.generator_action
+    for w, mat in mats.items():
+        if len(mat[0]) != d:
             return [f"matrix for {w!r} has wrong shape"]
-        mats[w] = mat
     identity = modmat.identity(d)
+    problems = []
     for w, mat in mats.items():
         p_w = acting_primes[w]
-        if np.array_equal(mat, identity):
+        if mat == identity:
             problems.append(f"matrix for {w!r} is the identity")
-        elif not np.array_equal(modmat.mat_pow(mat, p_w, r), identity):
+        elif modmat.power(mat, p_w, r) != identity:
             problems.append(f"matrix for {w!r} does not have order {p_w}")
     phi1_list = sorted(phi1)
     for i, w in enumerate(phi1_list):
         for u in phi1_list[i + 1 :]:
-            if not np.array_equal(
-                modmat.mat_mul(mats[w], mats[u], r), modmat.mat_mul(mats[u], mats[w], r)
-            ):
+            if not modmat.commute(mats[w], mats[u], r):
                 problems.append(f"matrices for {w!r} and {u!r} do not commute")
     if problems:
         return problems
 
+    # The product g of the 1-in-neighborhood matrices spans their group
+    # and g**m is the identity.  If a power g**k with 0 < k < m fixes a
+    # vector, so does g**gcd(k, m), and with it g**(m/p) for a prime p
+    # dividing m: those powers are the only ones to test.
     m = 1
     for w in phi1:
         m *= acting_primes[w]
     generator = identity
     for w in phi1_list:
-        generator = modmat.mat_mul(generator, mats[w], r)
-    diag_entries = _diagonal_or_none(generator)
-    if diag_entries is not None:
-        m_factors = [acting_primes[w] for w in phi1]
-        for entry in diag_entries:
-            if pow(entry, m, r) != 1 or any(
-                pow(entry, m // f, r) == 1 for f in m_factors
-            ):
-                problems.append(
-                    "fixed point: a diagonal entry of the spanning generator "
-                    f"has order below {m}"
-                )
-                break
-    else:
-        if m > 50_000:
-            raise LimitExceeded("fixed-point-freeness check too large for dense matrices")
-        power = generator
-        for _ in range(m - 1):
-            if modmat.has_fixed_vector(power, r):
-                problems.append("fixed point in the span of the 1-in-neighborhood action")
-                break
-            power = modmat.mat_mul(power, generator, r)
+        generator = modmat.multiply(generator, mats[w], r)
+    if modmat.has_fixed_vector(generator, r, [m // acting_primes[w] for w in phi1_list]):
+        problems.append("fixed point in the span of the 1-in-neighborhood action")
+    # The nontrivial powers of a matrix of prime order span the same
+    # group, so they share one fixed space.
     for s in sorted(phi2):
-        p_s = acting_primes[s]
-        power = mats[s]
-        for _ in range(1, p_s):
-            if modmat.has_fixed_vector(power, r):
-                break
-            power = modmat.mat_mul(power, mats[s], r)
-        else:
+        if not modmat.has_fixed_vector(mats[s], r):
             problems.append(f"no fixed space for any power of the matrix of {s!r}")
     return problems
-
-
-def _diagonal_or_none(mat: np.ndarray) -> list[int] | None:
-    if np.count_nonzero(mat - np.diag(np.diagonal(mat))):
-        return None
-    return [int(x) for x in np.diagonal(mat)]
 
 
 def synthesize(
@@ -334,17 +300,12 @@ def synthesize(
 
     Deterministic given o and its vertex order.  Arcs between sources and
     doubles become cyclic action exponents; arcs into sinks become module
-    actions.  Raises LimitExceeded when prime searches or module
-    verification exhaust their budgets.
+    actions.  Raises ValueError when o fails validation and
+    LimitExceeded when prime searches or module verification exhaust
+    their budgets.
     """
-    violations = validate_frobenius_orientation(o)
-    if violations:
-        raise ValueError(
-            "orientation fails validation: "
-            + ", ".join(sorted({v.kind for v in violations}))
-        )
     a = analyze(o)
-    primes = select_primes(o, congruence, prime_cap)
+    primes = select_primes(o, congruence, prime_cap, analysis=a)
     into = o.in_neighbors()
     k_actions: dict[tuple[str, str], int] = {}
     for u, v in o.sorted_arcs():
@@ -377,43 +338,44 @@ def synthesize(
         modules=modules,
         congruence=congruence,
     )
-    leftover = validate_plan(plan)
+    leftover = validate_plan(plan, a)
     if leftover:
         raise AssertionError(f"synthesized plan fails validation: {leftover}")
     return plan
 
 
 def estimate_order(plan: GroupPlan) -> int:
-    """Group order: top primes times r**dim per module times plain sink primes."""
-    a = analyze(plan.orientation)
+    """Group order: r**dim per module sink, the vertex prime elsewhere."""
     total = 1
     for v in plan.orientation.vertices:
-        if v in a.o_set or v in a.d_set:
-            total *= plan.prime_of[v]
-        elif v in plan.modules:
-            spec = plan.modules[v]
-            total *= spec.characteristic**spec.dimension
-        else:
-            total *= plan.prime_of[v]
+        spec = plan.modules.get(v)
+        total *= plan.prime_of[v] if spec is None else spec.characteristic**spec.dimension
     return total
 
 
-def validate_plan(plan: GroupPlan) -> list[str]:
-    """Independent re-check of every plan invariant; empty list means valid."""
+def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> list[str]:
+    """Independent re-check of every plan invariant; empty list means valid.
+
+    ``analysis``, when given, is the analysis of the plan's orientation,
+    which is then not validated again.
+    """
     problems: list[str] = []
     o = plan.orientation
-    if validate_frobenius_orientation(o):
-        return ["orientation fails validation"]
-    a = analyze(o)
+    if analysis is None:
+        try:
+            analysis = analyze(o)
+        except ValueError:
+            return ["orientation fails validation"]
+    a = analysis
     values = list(plan.prime_of.values())
     if sorted(plan.prime_of) != sorted(o.vertices):
         problems.append("prime map does not cover the vertex set")
         return problems
     if len(set(values)) != len(values):
         problems.append("primes are not distinct")
-    for v, p in plan.prime_of.items():
-        if not is_prime(p):
-            problems.append(f"{p} (vertex {v!r}) is not prime")
+    not_prime = [f"{p} (vertex {v!r}) is not prime" for v, p in plan.prime_of.items() if not is_prime(p)]
+    if not_prime:
+        return problems + not_prime  # the congruence checks below divide by the primes
     if plan.congruence not in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
         problems.append(f"unknown congruence mode {plan.congruence!r}")
     if plan.congruence == CONGRUENCE_GLOBAL:
@@ -434,6 +396,8 @@ def validate_plan(plan: GroupPlan) -> list[str]:
     if set(plan.k_actions) != expected_actions:
         problems.append("action exponents do not match the source-to-double arcs")
     for (u, v), e in plan.k_actions.items():
+        if (u, v) not in expected_actions:
+            continue
         p, q = plan.prime_of[u], plan.prime_of[v]
         if not 1 < e < q or pow(e, p, q) != 1 or e % q == 1:
             problems.append(f"exponent {e} for {u!r}->{v!r} has wrong order")
@@ -444,6 +408,12 @@ def validate_plan(plan: GroupPlan) -> list[str]:
         if not into[v] and v in plan.modules:
             problems.append(f"isolated sink {v!r} should be a plain cyclic factor")
     for v, spec in plan.modules.items():
+        if v not in a.i_set:
+            problems.append(f"module on {v!r}, which is not a sink")
+            continue
+        if not is_prime(spec.characteristic):
+            problems.append(f"module characteristic {spec.characteristic} for {v!r} is not prime")
+            continue
         phi1, phi2 = phi_sets(o, v)
         m = 1
         for w in phi1:
@@ -478,36 +448,28 @@ def _check_module_compatibility(plan, a, v, spec: ModuleSpec, phi1, phi2) -> lis
     """
     problems = []
     r = spec.characteristic
-    mats = {w: modmat.from_rows(rows, r) for w, rows in spec.generator_action.items()}
+    mats = spec.generator_action
     u_actors = sorted(w for w in phi1 if w in a.d_set)
     t_actors = sorted(w for w in (phi1 | phi2) if w in a.o_set)
     for group in (u_actors, t_actors):
         for i, w in enumerate(group):
             for u in group[i + 1 :]:
-                left = modmat.mat_mul(mats[w], mats[u], r)
-                right = modmat.mat_mul(mats[u], mats[w], r)
-                if not np.array_equal(left, right):
+                if not modmat.commute(mats[w], mats[u], r):
                     problems.append(
                         f"module {v!r}: matrices of {w!r} and {u!r} must commute"
                     )
     for s in t_actors:
+        # verify_module has checked that the matrix has order prime_of[s]
+        inverse = modmat.power(mats[s], plan.prime_of[s] - 1, r)
         for w in u_actors:
             e = plan.k_actions.get((s, w), 1)
-            inv = modmat.mat_pow(mats[s], _matrix_order(mats[s], plan.prime_of[s], r) - 1, r)
-            conjugated = modmat.mat_mul(modmat.mat_mul(mats[s], mats[w], r), inv, r)
-            expected = modmat.mat_pow(mats[w], e, r)
-            if not np.array_equal(conjugated, expected):
+            conjugated = modmat.multiply(modmat.multiply(mats[s], mats[w], r), inverse, r)
+            if conjugated != modmat.power(mats[w], e, r):
                 problems.append(
                     f"module {v!r}: conjugation by {s!r} disagrees with the "
                     f"exponent action on {w!r}"
                 )
     return problems
-
-
-def _matrix_order(mat: np.ndarray, claimed: int, r: int) -> int:
-    if np.array_equal(modmat.mat_pow(mat, claimed, r), modmat.identity(mat.shape[0])):
-        return claimed
-    raise ValueError("matrix order does not match its vertex prime")
 
 
 # -- serialization -----------------------------------------------------------
@@ -535,8 +497,8 @@ def plan_to_json_dict(plan: GroupPlan) -> dict:
                 "characteristic": str(spec.characteristic),
                 "dimension": spec.dimension,
                 "actions": {
-                    w: [list(row) for row in rows]
-                    for w, rows in sorted(
+                    w: [list(row) for row in modmat.to_rows(mat)]
+                    for w, mat in sorted(
                         spec.generator_action.items(), key=lambda kv: o.vertices.index(kv[0])
                     )
                 },
@@ -546,36 +508,88 @@ def plan_to_json_dict(plan: GroupPlan) -> dict:
     }
 
 
+def _require(ok: bool, path: str, what: str) -> None:
+    if not ok:
+        raise ValueError(f"plan: {path!r} {what}")
+
+
+def _get(doc: dict, key: str, kind: type, path: str = "", default=None):
+    """doc[key] as a ``kind``, or ``default`` when the key is absent and
+    that is not None.  Integers may be JSON numbers or decimal strings."""
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        _require(default is not None, where, "is missing")
+        return default
+    value = doc[key]
+    if kind is int:
+        text = str(value) if type(value) in (int, str) else ""
+        _require(text.isascii() and text.removeprefix("-").isdigit(), where, "must be an integer")
+        return int(text)
+    _require(isinstance(value, kind), where, f"must be {_KIND_NAMES[kind]}")
+    return value
+
+
+_KIND_NAMES = {str: "a string", list: "a list", dict: "an object"}
+
+
 def plan_from_json_dict(doc: dict) -> GroupPlan:
+    """Plan from its JSON document.
+
+    Raises ValueError naming the key path on a missing key, a wrong type,
+    an unknown vertex, or a matrix that is not square and monomial.
+    """
+    _require(isinstance(doc, dict), "plan", "must be an object")
     if doc.get("schema") != PLAN_SCHEMA:
         raise ValueError(f"unsupported plan schema {doc.get('schema')!r}")
-    from .graphs import orientation_from_arcs
+    vertices = _get(doc, "vertices", list)
+    for i, v in enumerate(vertices):
+        _require(isinstance(v, str), f"vertices[{i}]", "must be a string")
+    names = set(vertices)
 
-    vertices = [str(v) for v in doc["vertices"]]
-    if vertices and "arcs" in doc:
-        underlying_arcs = [(str(u), str(v)) for u, v in doc["arcs"]]
-    else:
-        underlying_arcs = []
-    o = orientation_from_arcs(vertices, underlying_arcs)
-    prime_of = {str(v): int(p) for v, p in doc["primes"].items()}
-    k_actions = {
-        (str(item["actor"]), str(item["target"])): int(item["exponent"])
-        for item in doc.get("k_actions", [])
-    }
+    def vertex(value, path: str) -> str:
+        _require(isinstance(value, str) and value in names, path, "must name a vertex")
+        return value
+
+    arcs = _get(doc, "arcs", list, default=[])
+    for i, arc in enumerate(arcs):
+        _require(isinstance(arc, list) and len(arc) == 2, f"arcs[{i}]", "must be a pair")
+        for x in arc:
+            vertex(x, f"arcs[{i}]")
+    primes = _get(doc, "primes", dict)
+    for v in primes:
+        vertex(v, f"primes.{v}")
+    k_actions = {}
+    for i, item in enumerate(_get(doc, "k_actions", list, default=[])):
+        path = f"k_actions[{i}]"
+        _require(isinstance(item, dict), path, "must be an object")
+        ends = tuple(vertex(_get(item, key, str, path), f"{path}.{key}") for key in ("actor", "target"))
+        k_actions[ends] = _get(item, "exponent", int, path)
     modules = {}
-    for v, body in doc.get("modules", {}).items():
-        modules[str(v)] = ModuleSpec(
-            characteristic=int(body["characteristic"]),
-            dimension=int(body["dimension"]),
-            generator_action={
-                str(w): tuple(tuple(int(x) for x in row) for row in rows)
-                for w, rows in body.get("actions", {}).items()
-            },
-        )
+    for v, body in _get(doc, "modules", dict, default={}).items():
+        path = f"modules.{v}"
+        vertex(v, path)
+        _require(isinstance(body, dict), path, "must be an object")
+        r = _get(body, "characteristic", int, path)
+        _require(r >= 2, f"{path}.characteristic", "must be at least 2")
+        action = {}
+        for w, rows in _get(body, "actions", dict, path, {}).items():
+            where = f"{path}.actions.{w}"
+            vertex(w, where)
+            _require(
+                isinstance(rows, list)
+                and all(isinstance(row, list) and all(type(x) is int for x in row) for row in rows),
+                where,
+                "must be a list of integer rows",
+            )
+            try:
+                action[w] = modmat.from_rows(rows, r)
+            except ValueError as exc:
+                raise ValueError(f"plan: {where!r}: {exc}") from None
+        modules[v] = ModuleSpec(r, _get(body, "dimension", int, path), action)
     return GroupPlan(
-        orientation=o,
-        prime_of=prime_of,
+        orientation=orientation_from_arcs(vertices, arcs),
+        prime_of={v: _get(primes, v, int, "primes") for v in vertices},
         k_actions=k_actions,
         modules=modules,
-        congruence=str(doc.get("congruence", CONGRUENCE_GLOBAL)),
+        congruence=_get(doc, "congruence", str, default=CONGRUENCE_GLOBAL),
     )

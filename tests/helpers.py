@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import mul
 
 from solvgraph import (
     LabeledGraph,
@@ -21,6 +22,7 @@ from solvgraph import (
     synthesize,
 )
 from solvgraph.model import GroupModel
+from solvgraph.modmat import to_rows
 
 
 # -- named graphs -----------------------------------------------------------
@@ -213,22 +215,100 @@ def all_valid_orientations(f: LabeledGraph):
 
 def model_sigma_by_enumeration(model: GroupModel) -> int:
     """Max distinct primes in one element order, from the K sweep used by
-    the brute-force edge oracle."""
-    import numpy as np
-
-    from solvgraph import modmat
-
+    the brute-force edge oracle, in dense matrix arithmetic."""
     best = 0
     ranges = [range(p) for _, p, _ in model.k_factors]
     for k in product(*ranges):
         n_k = model.k_order(k)
         count = sum(1 for _, p, _ in model.k_factors if n_k % p == 0)
         for j, f in enumerate(model.modules):
-            transfer = modmat.geometric_sum(model.rho(j, k), n_k, f.prime)
-            if np.any(transfer):
+            transfer = dense_transfer(dense_rho(model, j, k), n_k, f.prime)
+            if any(any(row) for row in transfer):
                 count += 1
         best = max(best, count)
     return best
+
+
+# -- dense matrices over GF(r), as lists of rows --------------------------------
+
+
+def dense_identity(dim: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def dense_mul(a, b, r: int) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) % r for col in columns] for row in a]
+
+
+def dense_add(a, b, r: int) -> list[list[int]]:
+    return [[(x + y) % r for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_pow(a, e: int, r: int) -> list[list[int]]:
+    result = dense_identity(len(a))
+    base = a
+    while e:
+        if e & 1:
+            result = dense_mul(result, base, r)
+        base = dense_mul(base, base, r)
+        e >>= 1
+    return result
+
+
+def dense_transfer(a, n: int, r: int) -> list[list[int]]:
+    """I + a + ... + a**(n-1), by halving."""
+
+    def halve(n: int):
+        # (I + a + ... + a**(n-1), a**n)
+        if n == 0:
+            return [[0] * len(a) for _ in a], dense_identity(len(a))
+        total, power = halve(n // 2)
+        total = dense_add(total, dense_mul(power, total, r), r)
+        power = dense_mul(power, power, r)
+        if n % 2:
+            total = dense_add(total, power, r)
+            power = dense_mul(power, a, r)
+        return total, power
+
+    return halve(n)[0]
+
+
+def dense_apply(a, v, r: int) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) % r for row in a)
+
+
+def dense_nullity(a, r: int) -> int:
+    """dim ker(a) over GF(r), by Gaussian elimination."""
+    m = [[x % r for x in row] for row in a]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, r)
+        m[rank] = [x * inv % r for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                factor = m[i][col]
+                m[i] = [(x - factor * y) % r for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return len(m[0]) - rank if m else 0
+
+
+def dense_rho(model: GroupModel, j: int, k: tuple[int, ...]) -> list[list[int]]:
+    """Action of the K element k on module j, multiplied out from the
+    plan's dense rows: double coordinates first, then source coordinates."""
+    f = model.modules[j]
+    spec = model.plan.modules.get(f.vertex)
+    rows = spec.generator_action if spec is not None else {}
+    mat = dense_identity(f.dim)
+    for role_wanted in ("D", "O"):
+        for i, (v, _, role) in enumerate(model.k_factors):
+            if role == role_wanted and v in rows:
+                mat = dense_mul(mat, dense_pow(to_rows(rows[v]), k[i], f.prime), f.prime)
+    return mat
 
 
 # -- shared synthesized corpus ------------------------------------------------

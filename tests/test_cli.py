@@ -185,3 +185,90 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file_is_input_error(capsys):
     assert run(["check", "/nonexistent/file"]) == 2
     capsys.readouterr()
+
+
+def _pentagon_plan_doc() -> dict:
+    from helpers import pentagon_orientation
+    from solvgraph import plan_to_json_dict, synthesize
+
+    return plan_to_json_dict(synthesize(pentagon_orientation()))
+
+
+def _run_plan_verb(tmp_path, capsys, verb, doc):
+    code = run([verb, _write(tmp_path, "plan.json", json.dumps(doc))])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _assert_plan_rejected(tmp_path, capsys, doc, key_path):
+    for verb in ("verify", "prime-graph", "digraph", "sigma"):
+        code, out, err = _run_plan_verb(tmp_path, capsys, verb, doc)
+        assert code == 2, (verb, err)
+        assert out == "" and key_path in err and "Traceback" not in err
+
+
+def test_plan_missing_key_is_input_error(tmp_path, capsys):
+    doc = _pentagon_plan_doc()
+    del doc["primes"]
+    _assert_plan_rejected(tmp_path, capsys, doc, "'primes'")
+    doc = _pentagon_plan_doc()
+    del doc["primes"]["p3"]
+    _assert_plan_rejected(tmp_path, capsys, doc, "'primes.p3'")
+
+
+def test_plan_wrong_type_is_input_error(tmp_path, capsys):
+    doc = _pentagon_plan_doc()
+    doc["k_actions"][0]["exponent"] = "six"
+    _assert_plan_rejected(tmp_path, capsys, doc, "'k_actions[0].exponent'")
+    doc["k_actions"][0]["exponent"] = "--5"
+    _assert_plan_rejected(tmp_path, capsys, doc, "'k_actions[0].exponent'")
+    doc = _pentagon_plan_doc()
+    doc["modules"]["p4"]["dimension"] = [2]
+    _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.dimension'")
+    _assert_plan_rejected(tmp_path, capsys, ["not", "a", "plan"], "plan")
+
+
+def test_plan_non_square_matrix_is_input_error(tmp_path, capsys):
+    doc = _pentagon_plan_doc()
+    doc["modules"]["p4"]["actions"]["p1"] = [[0, 1]]
+    _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.actions.p1'")
+
+
+def test_plan_non_monomial_matrix_is_input_error(tmp_path, capsys):
+    doc = _pentagon_plan_doc()
+    doc["modules"]["p4"]["actions"]["p1"] = [[1, 1], [0, 1]]
+    _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.actions.p1'")
+
+
+def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
+    doc = _pentagon_plan_doc()
+    doc["primes"]["p3"] = "11"  # breaks the global congruence (11 != 1 mod 6)
+    for verb in ("prime-graph", "digraph", "sigma"):
+        code, out, err = _run_plan_verb(tmp_path, capsys, verb, doc)
+        assert code == 1 and out == "", verb
+        assert "invalid plan: double prime 11 is not 1 mod 6" in err
+    code, out, _ = _run_plan_verb(tmp_path, capsys, "verify", doc)
+    assert code == 1 and json.loads(out)["plan_valid"] is False
+
+    doc["primes"]["p1"] = "0"  # a modulus of the congruence checks
+    for verb in ("prime-graph", "digraph", "sigma"):
+        code, out, err = _run_plan_verb(tmp_path, capsys, verb, doc)
+        assert code == 1 and out == "", verb
+        assert "invalid plan: 0 (vertex 'p1') is not prime" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, solvgraph.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
