@@ -182,14 +182,19 @@ def _load_plan(path: str):
     return plan_from_json_dict(json.loads(_read(path)))
 
 
+def _report_problems(plan) -> list[str]:
+    """validate_plan's problems, each printed on stderr."""
+    problems = validate_plan(plan)
+    for problem in problems:
+        print(f"invalid plan: {problem}", file=sys.stderr)
+    return problems
+
+
 def _load_model(path: str) -> GroupModel | None:
     """Model of a plan that passes validate_plan; None, with the problems
     on stderr, when it does not."""
     plan = _load_plan(path)
-    problems = validate_plan(plan)
-    for problem in problems:
-        print(f"invalid plan: {problem}", file=sys.stderr)
-    return None if problems else GroupModel(plan)
+    return None if _report_problems(plan) else GroupModel(plan)
 
 
 def _cmd_prime_graph(args) -> int:
@@ -207,7 +212,10 @@ def _cmd_digraph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = round_trip_report(_load_plan(args.plan))
+    plan = _load_plan(args.plan)
+    report = round_trip_report(plan)
+    if not report["plan_valid"]:
+        _report_problems(plan)  # the report keeps only the verdict
     report["group_order"] = str(report["group_order"])
     _emit_json(report)
     ok = report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"]
@@ -235,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="solvgraph",
         description="Prime graphs of finite solvable groups: checks, certificates, models.",
     )
-    parser.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="realizability verdict with certificate")

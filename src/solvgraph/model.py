@@ -25,8 +25,8 @@ from itertools import combinations, product
 from . import modmat
 from .analysis import analyze
 from .errors import LimitExceeded
-from .graphs import LabeledGraph, Orientation, orientation_from_arcs
-from .synthesis import GroupPlan, phi_sets
+from .graphs import LabeledGraph, Orientation, complement, orientation_from_arcs
+from .synthesis import GroupPlan, estimate_order, validate_plan
 
 SIGMA_PRIME_LIMIT = 12
 BRUTE_FORCE_CAP = 2_000_000
@@ -51,14 +51,14 @@ class _ModuleFactor:
 class GroupModel:
     """Concrete group built from a GroupPlan; immutable once constructed.
 
-    The plan's orientation is validated here, once; its analysis is kept
-    as ``self.analysis``.
+    The plan is expected to pass validate_plan; its orientation is
+    validated here once more, to read off the vertex roles.
     """
 
     def __init__(self, plan: GroupPlan):
         self.plan = plan
         o = plan.orientation
-        a = self.analysis = analyze(o)
+        a = analyze(o)
         self.k_factors: tuple[tuple[str, int, str], ...] = tuple(
             (v, plan.prime_of[v], "O" if v in a.o_set else "D")
             for v in o.vertices
@@ -255,72 +255,31 @@ class GroupModel:
     def _prime_labels(self) -> tuple[str, ...]:
         return tuple(str(p) for p in self.primes())
 
-    def _fixed_space_somewhere(self, f: _ModuleFactor, vertex: str, p: int) -> bool:
-        """Some power of the canonical generator of ``vertex`` (all powers
-        have order p) fixes a nonzero vector of module f."""
-        if vertex not in f.action:
-            return True
-        return modmat.has_fixed_vector(f.action[vertex], f.prime, range(1, p))
+    def _frobenius_arcs(self) -> list[tuple[str, str]]:
+        """Arcs actor -> acted-upon between prime labels.
+
+        A source acts on a double exactly when an action exponent links
+        them; a top-level generator acts on a module exactly when its
+        matrix fixes no nonzero vector there (the nontrivial powers of a
+        matrix of prime order share one fixed space).  Top-level pairs of
+        equal role commute (direct products), and module pairs commute
+        too, so no other pair is an arc.
+        """
+        label = {v: str(p) for v, p, _ in self.k_factors}
+        arcs = [(label[u], label[v]) for u, v in self.k_exponents]
+        for f in self.modules:
+            for v, mat in f.action.items():
+                if not modmat.has_fixed_vector(mat, f.prime):
+                    arcs.append((label[v], str(f.prime)))
+        return arcs
 
     def compute_prime_graph(self) -> LabeledGraph:
-        """Structural prime graph: one vertex per prime, edges by action rules.
-
-        Top-level pairs of equal role commute (direct products), so they
-        are adjacent; a source-double pair is adjacent exactly when no
-        action exponent links them; module pairs are always adjacent; a
-        top-level prime meets a module prime exactly when some power of
-        its generator has a nonzero fixed space there (trivial action
-        included).
-        """
-        labels = self._prime_labels()
-        edges = []
-        nk = len(self.k_factors)
-        for i, j in combinations(range(len(labels)), 2):
-            if i < nk and j < nk:
-                vi, _, role_i = self.k_factors[i]
-                vj, _, role_j = self.k_factors[j]
-                if role_i == role_j:
-                    edges.append((labels[i], labels[j]))
-                elif (vi, vj) not in self.k_exponents and (vj, vi) not in self.k_exponents:
-                    edges.append((labels[i], labels[j]))
-            elif i < nk <= j:
-                v, p, _ = self.k_factors[i]
-                f = self.modules[j - nk]
-                if self._fixed_space_somewhere(f, v, p):
-                    edges.append((labels[i], labels[j]))
-            else:
-                edges.append((labels[i], labels[j]))
-        return LabeledGraph(labels, edges)
+        """Structural prime graph: the non-arcs of the Frobenius digraph."""
+        return complement(LabeledGraph(self._prime_labels(), self._frobenius_arcs()))
 
     def compute_frobenius_digraph(self) -> Orientation:
         """Arcs actor -> acted-upon on the non-edges of the prime graph."""
-        graph = self.compute_prime_graph()
-        labels = self._prime_labels()
-        nk = len(self.k_factors)
-        arcs = []
-        for i, j in combinations(range(len(labels)), 2):
-            if graph.has_edge(labels[i], labels[j]):
-                continue
-            if i < nk and j < nk:
-                vi, _, _ = self.k_factors[i]
-                vj, _, _ = self.k_factors[j]
-                if (vi, vj) in self.k_exponents:
-                    arcs.append((labels[i], labels[j]))
-                elif (vj, vi) in self.k_exponents:
-                    arcs.append((labels[j], labels[i]))
-                else:
-                    raise ValueError(
-                        f"non-edge {labels[i]}-{labels[j]} without an action; "
-                        "model is not plan-shaped"
-                    )
-            elif i < nk <= j:
-                arcs.append((labels[i], labels[j]))
-            else:
-                raise ValueError(
-                    f"non-edge {labels[i]}-{labels[j]} between modules; "
-                    "model is not plan-shaped"
-                )
-        return orientation_from_arcs(labels, arcs)
+        return orientation_from_arcs(self._prime_labels(), self._frobenius_arcs())
 
     # -- element-order statistics ---------------------------------------------
 
@@ -396,28 +355,34 @@ class GroupModel:
 
 def round_trip_report(plan: GroupPlan) -> dict:
     """Recompute the digraph and prime graph from the model and compare
-    with the plan's orientation under the vertex-to-prime relabeling."""
-    from .graphs import complement
-    from .synthesis import validate_plan
+    with the plan's orientation under the vertex-to-prime relabeling.
 
+    A plan that fails validate_plan gets no model: it is reported as
+    invalid, with both comparisons false.
+    """
+    report = {
+        "schema": "solvgraph.verify/1",
+        "plan_valid": False,
+        "digraph_matches": False,
+        "prime_graph_matches": False,
+        "group_order": estimate_order(plan),
+    }
+    if validate_plan(plan):
+        return report
     model = GroupModel(plan)
     o = plan.orientation
     rename = {v: str(plan.prime_of[v]) for v in o.vertices}
-    expected_arcs = {(rename[u], rename[v]) for u, v in o.arcs}
     digraph = model.compute_frobenius_digraph()
-    prime_graph = model.compute_prime_graph()
+    prime_graph = complement(digraph.underlying)
     expected_graph = LabeledGraph(
         [rename[v] for v in o.vertices],
         [(rename[u], rename[v]) for u, v in complement(o.underlying).edges],
     )
-    return {
-        "schema": "solvgraph.verify/1",
-        "plan_valid": not validate_plan(plan, model.analysis),
-        "digraph_matches": set(digraph.arcs) == expected_arcs,
-        "prime_graph_matches": (
-            set(prime_graph.vertices) == set(expected_graph.vertices)
-            and {frozenset(e) for e in prime_graph.edges}
-            == {frozenset(e) for e in expected_graph.edges}
-        ),
-        "group_order": model.group_order(),
-    }
+    report["plan_valid"] = True
+    report["digraph_matches"] = set(digraph.arcs) == {(rename[u], rename[v]) for u, v in o.arcs}
+    report["prime_graph_matches"] = (
+        set(prime_graph.vertices) == set(expected_graph.vertices)
+        and {frozenset(e) for e in prime_graph.edges}
+        == {frozenset(e) for e in expected_graph.edges}
+    )
+    return report

@@ -47,25 +47,18 @@ def is_prime(n: int) -> bool:
 def smallest_prime(modulus: int, residue: int, used: set[int], cap: int = 10**6) -> int:
     """Smallest prime p <= cap with p % modulus == residue and p not in used.
 
-    ``modulus=1`` degenerates to "smallest unused prime".  Raises
-    LimitExceeded when the search passes ``cap``, which signals a
-    pathological congruence demand rather than a routine failure.
+    ``modulus=1`` (with ``residue=0``) degenerates to "smallest unused
+    prime".  Raises LimitExceeded when the search passes ``cap``, which
+    signals a pathological congruence demand rather than a routine
+    failure.
     """
-    if modulus == 1:
-        candidate = 2
-        while candidate <= cap:
-            if candidate not in used and is_prime(candidate):
-                return candidate
-            candidate += 1
-        raise LimitExceeded(f"no unused prime below {cap}")
     candidate = residue if residue > 1 else residue + modulus
     while candidate <= cap:
         if candidate not in used and is_prime(candidate):
             return candidate
         candidate += modulus
-    raise LimitExceeded(
-        f"no unused prime p = {residue} (mod {modulus}) below {cap}"
-    )
+    what = "prime" if modulus == 1 else f"prime p = {residue} (mod {modulus})"
+    raise LimitExceeded(f"no unused {what} below {cap}")
 
 
 def elements_of_order(order: int, order_factors: tuple[int, ...], modulus: int):

@@ -14,10 +14,13 @@ a group G = J x| (U x| T):
   a B-conjugation twist, and B permutes the basis regularly.
 
 Irreducibility of the modules is never assumed.  What the prime graph
-actually depends on is verified directly: generator orders, fixed-point
-freeness of the A-part, and a nonzero fixed space for every B-generator.
-A verify-and-retry loop (next character, then next admissible prime)
-covers the unlikely failure of a candidate.
+actually depends on holds for every faithful character lambda of A, of
+exact order m = prod p_w, so the smallest one is taken and no candidate
+can fail.  Every diagonal entry of the product g of the A-generators is
+a product of elements of exact orders p_w, hence of exact order m, so no
+g**(m/p) has eigenvalue 1 and A acts fixed-point-freely; each B-shift
+has order p_s and unit scales, so it fixes a vector; the diagonal
+matrices commute.  validate_plan checks all of this independently.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 
 from . import modmat
 from .analysis import DigraphAnalysis, analyze
-from .errors import LimitExceeded
 from .graphs import Orientation, directed_neighborhood, orientation_from_arcs
 from .primes import elements_of_order, is_prime, smallest_prime
 
@@ -36,7 +38,6 @@ CONGRUENCE_GLOBAL = "global"
 CONGRUENCE_PER_ARC = "per-arc"
 
 DEFAULT_PRIME_CAP = 10**6
-DEFAULT_MODULE_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def select_primes(
     used: set[int] = set()
 
     def take(modulus: int) -> int:
-        p = smallest_prime(modulus, 1 % modulus if modulus > 1 else 0, used, cap)
+        p = smallest_prime(modulus, 1 % modulus, used, cap)
         used.add(p)
         return p
 
@@ -181,13 +182,11 @@ def build_module(
     v: str,
     primes: dict[str, int],
     k_actions: dict[tuple[str, str], int],
-    max_character_tries: int = 8,
 ) -> ModuleSpec:
     """Module for sink v over the field with primes[v] elements.
 
-    Tries the admissible faithful characters smallest-first and verifies
-    every invariant before returning; raises LimitExceeded when all
-    candidates fail (callers may then move to the next admissible prime).
+    Induced from the smallest faithful character; every faithful
+    character gives a valid module (see the module docstring).
     """
     phi1_set, phi2_set = phi_sets(o, v)
     if not phi1_set:
@@ -202,50 +201,42 @@ def build_module(
     if (r - 1) % m != 0:
         raise ValueError(f"module prime {r} is not 1 mod {m}")
     d, shift, conj = _b_generator_data(o, phi1, phi2, primes, k_actions)
-    m_factors = tuple(primes[w] for w in phi1)
-
-    tries = 0
-    failures: list[str] = []
-    for lam in elements_of_order(m, m_factors, r):
-        tries += 1
-        if tries > max_character_tries:
-            break
-        action: dict[str, modmat.Monomial] = {}
-        for w in phi1:
-            p_w = primes[w]
-            lam_w = pow(lam, m // p_w, r)
-            inv = pow(conj[w], -1, p_w)
-            diag = []
-            exponent = 1
-            for _ in range(d):
-                diag.append(pow(lam_w, exponent, r))
-                exponent = exponent * inv % p_w
-            action[w] = (tuple(range(d)), tuple(diag))
-        for s in phi2:
-            action[s] = (tuple((j + shift[s]) % d for j in range(d)), (1,) * d)
-        spec = ModuleSpec(characteristic=r, dimension=d, generator_action=action)
-        problems = verify_module(spec, {w: primes[w] for w in phi1 + phi2}, set(phi1), set(phi2))
-        if not problems:
-            return spec
-        failures.extend(problems)
-    raise LimitExceeded(
-        f"no verified module for sink {v!r} over {r}: {failures[:3]}"
-    )
+    lam = next(elements_of_order(m, tuple(primes[w] for w in phi1), r))
+    action: dict[str, modmat.Monomial] = {}
+    for w in phi1:
+        p_w = primes[w]
+        lam_w = pow(lam, m // p_w, r)
+        inv = pow(conj[w], -1, p_w)
+        diag = []
+        exponent = 1
+        for _ in range(d):
+            diag.append(pow(lam_w, exponent, r))
+            exponent = exponent * inv % p_w
+        action[w] = (tuple(range(d)), tuple(diag))
+    for s in phi2:
+        action[s] = (tuple((j + shift[s]) % d for j in range(d)), (1,) * d)
+    return ModuleSpec(characteristic=r, dimension=d, generator_action=action)
 
 
 def verify_module(
-    spec: ModuleSpec,
-    acting_primes: dict[str, int],
-    phi1: set[str],
-    phi2: set[str],
+    plan: GroupPlan,
+    a: DigraphAnalysis,
+    v: str,
+    phi1: frozenset[str],
+    phi2: frozenset[str],
 ) -> list[str]:
-    """Check every module invariant; empty list means verified.
+    """Check every invariant of the module of sink v; empty list means
+    verified.
 
     Conditions: each matrix has the multiplicative order of its vertex
     prime; the matrices of the 1-in-neighborhood commute and the cyclic
     group they span acts fixed-point-freely; every 2-in-neighborhood
-    matrix has a power of prime order with a nonzero fixed space.
+    matrix has a nonzero fixed space.  The matrices must also define a
+    single action of the top group: the source matrices commute, and
+    conjugating a double's matrix by a source's matrix matches the
+    exponent action on the cyclic factor.
     """
+    spec = plan.modules[v]
     r = spec.characteristic
     d = spec.dimension
     if set(spec.generator_action) != phi1 | phi2:
@@ -257,7 +248,7 @@ def verify_module(
     identity = modmat.identity(d)
     problems = []
     for w, mat in mats.items():
-        p_w = acting_primes[w]
+        p_w = plan.prime_of[w]
         if mat == identity:
             problems.append(f"matrix for {w!r} is the identity")
         elif modmat.power(mat, p_w, r) != identity:
@@ -276,17 +267,38 @@ def verify_module(
     # dividing m: those powers are the only ones to test.
     m = 1
     for w in phi1:
-        m *= acting_primes[w]
+        m *= plan.prime_of[w]
     generator = identity
     for w in phi1_list:
         generator = modmat.multiply(generator, mats[w], r)
-    if modmat.has_fixed_vector(generator, r, [m // acting_primes[w] for w in phi1_list]):
+    if modmat.has_fixed_vector(generator, r, [m // plan.prime_of[w] for w in phi1_list]):
         problems.append("fixed point in the span of the 1-in-neighborhood action")
     # The nontrivial powers of a matrix of prime order span the same
     # group, so they share one fixed space.
     for s in sorted(phi2):
         if not modmat.has_fixed_vector(mats[s], r):
             problems.append(f"no fixed space for any power of the matrix of {s!r}")
+    if problems:
+        return problems
+
+    # The double matrices all lie in the 1-in-neighborhood, so they
+    # commute already; the source matrices may also act through phi2.
+    u_actors = sorted(w for w in phi1 if w in a.d_set)
+    t_actors = sorted(w for w in phi1 | phi2 if w in a.o_set)
+    for i, w in enumerate(t_actors):
+        for u in t_actors[i + 1 :]:
+            if not modmat.commute(mats[w], mats[u], r):
+                problems.append(f"module {v!r}: matrices of {w!r} and {u!r} must commute")
+    for s in t_actors:
+        inverse = modmat.power(mats[s], plan.prime_of[s] - 1, r)  # its order was checked above
+        for w in u_actors:
+            e = plan.k_actions.get((s, w), 1)
+            conjugated = modmat.multiply(modmat.multiply(mats[s], mats[w], r), inverse, r)
+            if conjugated != modmat.power(mats[w], e, r):
+                problems.append(
+                    f"module {v!r}: conjugation by {s!r} disagrees with the "
+                    f"exponent action on {w!r}"
+                )
     return problems
 
 
@@ -294,15 +306,13 @@ def synthesize(
     o: Orientation,
     congruence: str = CONGRUENCE_GLOBAL,
     prime_cap: int = DEFAULT_PRIME_CAP,
-    max_retries: int = DEFAULT_MODULE_RETRIES,
 ) -> GroupPlan:
     """Full recipe for a group whose fixed-point digraph is o.
 
     Deterministic given o and its vertex order.  Arcs between sources and
     doubles become cyclic action exponents; arcs into sinks become module
     actions.  Raises ValueError when o fails validation and
-    LimitExceeded when prime searches or module verification exhaust
-    their budgets.
+    LimitExceeded when a prime search passes ``prime_cap``.
     """
     a = analyze(o)
     primes = select_primes(o, congruence, prime_cap, analysis=a)
@@ -311,26 +321,11 @@ def synthesize(
     for u, v in o.sorted_arcs():
         if u in a.o_set and v in a.d_set:
             k_actions[(u, v)] = build_k_action(primes[u], primes[v])
-    modules: dict[str, ModuleSpec] = {}
-    used = set(primes.values())
-    for v in o.vertices:
-        if v not in a.i_set or not into[v]:
-            continue
-        attempts = 0
-        while True:
-            try:
-                modules[v] = build_module(o, v, primes, k_actions)
-                break
-            except LimitExceeded:
-                attempts += 1
-                if attempts >= max_retries:
-                    raise
-                m = 1
-                for u in phi_sets(o, v)[0]:
-                    m *= primes[u]
-                replacement = smallest_prime(m, 1 % m, used, prime_cap)
-                used.add(replacement)
-                primes = dict(primes, **{v: replacement})
+    modules = {
+        v: build_module(o, v, primes, k_actions)
+        for v in o.vertices
+        if v in a.i_set and into[v]
+    }
     plan = GroupPlan(
         orientation=o,
         prime_of=primes,
@@ -427,48 +422,7 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
             problems.append(f"module prime for {v!r} disagrees with the prime map")
         if spec.dimension != d:
             problems.append(f"module for {v!r} has dimension {spec.dimension}, expected {d}")
-        module_problems = verify_module(
-            spec,
-            {w: plan.prime_of[w] for w in phi1 | phi2},
-            set(phi1),
-            set(phi2),
-        )
-        problems.extend(module_problems)
-        if not module_problems:
-            problems.extend(_check_module_compatibility(plan, a, v, spec, phi1, phi2))
-    return problems
-
-
-def _check_module_compatibility(plan, a, v, spec: ModuleSpec, phi1, phi2) -> list[str]:
-    """Actor matrices must define a single action of the top group.
-
-    Within each of the two abelian layers the matrices must commute, and
-    conjugating a double's matrix by a source's matrix must match the
-    exponent action on the cyclic factor.
-    """
-    problems = []
-    r = spec.characteristic
-    mats = spec.generator_action
-    u_actors = sorted(w for w in phi1 if w in a.d_set)
-    t_actors = sorted(w for w in (phi1 | phi2) if w in a.o_set)
-    for group in (u_actors, t_actors):
-        for i, w in enumerate(group):
-            for u in group[i + 1 :]:
-                if not modmat.commute(mats[w], mats[u], r):
-                    problems.append(
-                        f"module {v!r}: matrices of {w!r} and {u!r} must commute"
-                    )
-    for s in t_actors:
-        # verify_module has checked that the matrix has order prime_of[s]
-        inverse = modmat.power(mats[s], plan.prime_of[s] - 1, r)
-        for w in u_actors:
-            e = plan.k_actions.get((s, w), 1)
-            conjugated = modmat.multiply(modmat.multiply(mats[s], mats[w], r), inverse, r)
-            if conjugated != modmat.power(mats[w], e, r):
-                problems.append(
-                    f"module {v!r}: conjugation by {s!r} disagrees with the "
-                    f"exponent action on {w!r}"
-                )
+        problems.extend(verify_module(plan, a, v, phi1, phi2))
     return problems
 
 

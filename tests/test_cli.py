@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 from solvgraph.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 C5_EDGES = "a b\nb c\nc d\nd e\ne a\n"
 PENTAGON_ARCS = "p1 > p3\np3 > p4\np1 > p5\np2 > p4\np2 > p5\n"
@@ -241,20 +245,32 @@ def test_plan_non_monomial_matrix_is_input_error(tmp_path, capsys):
 
 
 def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
+    def refused(doc, problem):
+        for verb in ("verify", "prime-graph", "digraph", "sigma"):
+            code, out, err = _run_plan_verb(tmp_path, capsys, verb, doc)
+            assert code == 1, verb
+            assert f"invalid plan: {problem}" in err and "Traceback" not in err, verb
+            if verb == "verify":
+                report = json.loads(out)
+                assert report["plan_valid"] is False
+                assert report["digraph_matches"] is False and report["prime_graph_matches"] is False
+            else:
+                assert out == "", verb
+
     doc = _pentagon_plan_doc()
     doc["primes"]["p3"] = "11"  # breaks the global congruence (11 != 1 mod 6)
-    for verb in ("prime-graph", "digraph", "sigma"):
-        code, out, err = _run_plan_verb(tmp_path, capsys, verb, doc)
-        assert code == 1 and out == "", verb
-        assert "invalid plan: double prime 11 is not 1 mod 6" in err
-    code, out, _ = _run_plan_verb(tmp_path, capsys, "verify", doc)
-    assert code == 1 and json.loads(out)["plan_valid"] is False
-
+    refused(doc, "double prime 11 is not 1 mod 6")
     doc["primes"]["p1"] = "0"  # a modulus of the congruence checks
-    for verb in ("prime-graph", "digraph", "sigma"):
-        code, out, err = _run_plan_verb(tmp_path, capsys, verb, doc)
-        assert code == 1 and out == "", verb
-        assert "invalid plan: 0 (vertex 'p1') is not prime" in err
+    refused(doc, "0 (vertex 'p1') is not prime")
+
+    doc = _pentagon_plan_doc()
+    doc["primes"]["p5"] = doc["primes"]["p4"]
+    refused(doc, "primes are not distinct")
+
+    doc = _pentagon_plan_doc()
+    # p2 > p5 reversed: p1 > p5 > p2 > p4 is a directed 3-path
+    doc["arcs"] = [[v, u] if [u, v] == ["p2", "p5"] else [u, v] for u, v in doc["arcs"]]
+    refused(doc, "orientation fails validation")
 
 
 def test_cli_import_leaves_numpy_out():
@@ -272,3 +288,32 @@ def test_cli_import_leaves_numpy_out():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def _benchmark_cli_verbs():
+    """``CLI_VERBS`` of perfbench/worker.py, evaluated from its source
+    alone: importing the worker would start its timing probe."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    wanted = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("DATA", "CLI_VERBS")
+    ]
+    scope: dict = {}
+    exec(compile(ast.Module(wanted, type_ignores=[]), "worker.py", "exec"), scope)
+    return scope["CLI_VERBS"]
+
+
+def test_cli_verbs_reproduce_golden_outputs(monkeypatch, capsys):
+    """The benchmark's CLI calls, in-process: stdout byte-identical to
+    perfbench/golden/<verb>.out and the recorded exit codes."""
+    golden = ROOT / "perfbench" / "golden"
+    exits = json.loads((golden / "golden.json").read_text())["cli_exit"]
+    verbs = _benchmark_cli_verbs()
+    assert len(verbs) == 14
+    monkeypatch.chdir(ROOT)
+    for verb, argv in verbs:
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code == exits[verb], verb
+        assert out.encode() == (golden / f"{verb}.out").read_bytes(), verb

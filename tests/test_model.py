@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import model_sigma_by_enumeration, pentagon_orientation
+from helpers import model_sigma_by_enumeration, orientation_sweep, pentagon_orientation
 from solvgraph import (
     GroupModel,
     LabeledGraph,
@@ -115,6 +115,15 @@ def test_pentagon_model_round_trip():
     }
     report = round_trip_report(plan)
     assert report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"]
+
+
+def test_round_trip_in_global_congruence_mode():
+    count = 0
+    for o in orientation_sweep(6):
+        report = round_trip_report(synthesize(o, congruence="global"))
+        assert report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"], o.arcs
+        count += 1
+    assert count == 634
 
 
 def test_digraph_of_single_arc_model():
