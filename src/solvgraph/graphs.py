@@ -606,25 +606,56 @@ def _generated_forms(n: int, triangle_free: bool) -> tuple[bytes, ...]:
     forms: set[bytes] = set()
     for parent in _generated_forms(n - 1, triangle_free):
         pn, prows = rows_from_g6_bytes(parent)
+        # twin pairs (u, w), u < w: swapping them is a parent automorphism
+        twin_pairs = [
+            (u, w)
+            for u, w in combinations(range(pn), 2)
+            if prows[u] & ~(1 << w) == prows[w] & ~(1 << u)
+        ]
         for mask in range(1 << pn):
             if triangle_free and any(
                 prows[u] & mask and mask >> u & 1 for u in range(pn)
             ):
                 continue
+            if any(mask >> w & 1 and not mask >> u & 1 for u, w in twin_pairs):
+                continue
             rows = list(prows) + [mask]
             for u in range(pn):
                 if mask >> u & 1:
                     rows[u] |= 1 << pn
+            degree = [row.bit_count() for row in rows]
+            new = _invariant(rows, degree, pn)
+            if any(_invariant(rows, degree, u) > new for u in range(pn)):
+                continue
             forms.add(_canonical_g6(n, tuple(rows)))
     return tuple(sorted(forms))
+
+
+def _invariant(rows, degree, v: int) -> tuple:
+    """(degree, sorted neighbour degrees) of vertex v."""
+    return degree[v], sorted(degree[u] for u in range(len(rows)) if rows[v] >> u & 1)
 
 
 def enumerate_graphs(n: int, triangle_free: bool = False) -> tuple[LabeledGraph, ...]:
     """All graphs on exactly n vertices up to isomorphism, canonical labels.
 
-    Augments each (n-1)-vertex representative by one new vertex and
-    deduplicates by canonical form; with ``triangle_free`` the new vertex
-    only attaches to independent sets, which keeps n = 9 cheap.
+    Augments each canonical (n-1)-vertex representative by one new vertex
+    and deduplicates by canonical form; with ``triangle_free`` the new
+    vertex only attaches to independent sets.  Two tests skip a child
+    before its canonical form is computed (the first steps of McKay's
+    canonical augmentation):
+
+    - twin pruning: when parent vertices u < w are twins, the neighbour
+      set of the new vertex may contain w only if it contains u.  Swapping
+      twins is a parent automorphism, so a skipped child is isomorphic to
+      one that is kept.
+    - greatest invariant: the child is kept only if no old vertex has a
+      larger (degree, sorted neighbour degrees) than the new vertex.  Both
+      families are closed under induced subgraphs, so every class arises
+      from the parent left by deleting one of its vertices of greatest
+      invariant, with the new vertex in that role.
+
+    The result is the same as without them, sorted by canonical form.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import modmat
-from .analysis import analyze
+from .analysis import DigraphAnalysis, analyze
 from .errors import LimitExceeded
 from .graphs import LabeledGraph, Orientation, complement, orientation_from_arcs
 from .synthesis import GroupPlan, estimate_order, validate_plan
@@ -51,14 +51,15 @@ class _ModuleFactor:
 class GroupModel:
     """Concrete group built from a GroupPlan; immutable once constructed.
 
-    The plan is expected to pass validate_plan; its orientation is
-    validated here once more, to read off the vertex roles.
+    The plan is expected to pass validate_plan.  The vertex roles are read
+    off ``analysis``, the analysis of the plan's orientation; when it is
+    not given, the orientation is analysed, and so validated, once more.
     """
 
-    def __init__(self, plan: GroupPlan):
+    def __init__(self, plan: GroupPlan, analysis: DigraphAnalysis | None = None):
         self.plan = plan
         o = plan.orientation
-        a = analyze(o)
+        a = analysis if analysis is not None else analyze(o)
         self.k_factors: tuple[tuple[str, int, str], ...] = tuple(
             (v, plan.prime_of[v], "O" if v in a.o_set else "D")
             for v in o.vertices
@@ -367,9 +368,13 @@ def round_trip_report(plan: GroupPlan) -> dict:
         "prime_graph_matches": False,
         "group_order": estimate_order(plan),
     }
-    if validate_plan(plan):
+    try:
+        analysis = analyze(plan.orientation)
+    except ValueError:
         return report
-    model = GroupModel(plan)
+    if validate_plan(plan, analysis):
+        return report
+    model = GroupModel(plan, analysis)
     o = plan.orientation
     rename = {v: str(plan.prime_of[v]) for v in o.vertices}
     digraph = model.compute_frobenius_digraph()

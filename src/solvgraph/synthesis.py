@@ -490,7 +490,8 @@ def plan_from_json_dict(doc: dict) -> GroupPlan:
     """Plan from its JSON document.
 
     Raises ValueError naming the key path on a missing key, a wrong type,
-    an unknown vertex, or a matrix that is not square and monomial.
+    an unknown vertex, a matrix that is not square and monomial, a module
+    without actions, or a module dimension other than its matrices' size.
     """
     _require(isinstance(doc, dict), "plan", "must be an object")
     if doc.get("schema") != PLAN_SCHEMA:
@@ -525,8 +526,11 @@ def plan_from_json_dict(doc: dict) -> GroupPlan:
         _require(isinstance(body, dict), path, "must be an object")
         r = _get(body, "characteristic", int, path)
         _require(r >= 2, f"{path}.characteristic", "must be at least 2")
+        dimension = _get(body, "dimension", int, path)
+        actions = _get(body, "actions", dict, path)
+        _require(bool(actions), f"{path}.actions", "must hold at least one action")
         action = {}
-        for w, rows in _get(body, "actions", dict, path, {}).items():
+        for w, rows in actions.items():
             where = f"{path}.actions.{w}"
             vertex(w, where)
             _require(
@@ -539,7 +543,10 @@ def plan_from_json_dict(doc: dict) -> GroupPlan:
                 action[w] = modmat.from_rows(rows, r)
             except ValueError as exc:
                 raise ValueError(f"plan: {where!r}: {exc}") from None
-        modules[v] = ModuleSpec(r, _get(body, "dimension", int, path), action)
+            _require(
+                len(rows) == dimension, f"{path}.dimension", f"must equal the size of {where!r}"
+            )
+        modules[v] = ModuleSpec(r, dimension, action)
     return GroupPlan(
         orientation=orientation_from_arcs(vertices, arcs),
         prime_of={v: _get(primes, v, int, "primes") for v in vertices},

@@ -16,6 +16,8 @@ from operator import mul
 from solvgraph import (
     LabeledGraph,
     Orientation,
+    canonical_form,
+    canonical_graph,
     cycle_graph,
     enumerate_graphs,
     find_triangle,
@@ -145,6 +147,34 @@ def oracle_girth(g: LabeledGraph):
                 ):
                     return length
     return math.inf
+
+
+@lru_cache(maxsize=None)
+def unpruned_generation(n: int, triangle_free: bool) -> tuple[LabeledGraph, ...]:
+    """All graphs on n vertices up to isomorphism by plain augmentation.
+
+    Every neighbour set (every independent set, with ``triangle_free``) of
+    a new vertex over every (n-1)-vertex class, deduplicated by
+    canonical_form with nothing skipped before it; canonically labeled and
+    sorted by canonical form, as enumerate_graphs promises.
+    """
+    if n == 0:
+        return (LabeledGraph((), ()),)
+    children: dict[bytes, LabeledGraph] = {}
+    new = str(n - 1)
+    for parent in unpruned_generation(n - 1, triangle_free):
+        for size in range(n):
+            for attach in combinations(parent.vertices, size):
+                if triangle_free and any(
+                    parent.has_edge(u, v) for u, v in combinations(attach, 2)
+                ):
+                    continue
+                child = LabeledGraph(
+                    parent.vertices + (new,),
+                    list(parent.edges) + [(u, new) for u in attach],
+                )
+                children.setdefault(canonical_form(child), child)
+    return tuple(canonical_graph(children[form]) for form in sorted(children))
 
 
 def oracle_max_clique(g: LabeledGraph) -> int:

@@ -244,6 +244,20 @@ def test_plan_non_monomial_matrix_is_input_error(tmp_path, capsys):
     _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.actions.p1'")
 
 
+def test_plan_module_dimension_is_checked_on_load(tmp_path, capsys):
+    # the group order is r**dimension, so a declared dimension must be
+    # checked against the matrices before any arithmetic uses it
+    for dimension in (3000, 10**9):
+        doc = _pentagon_plan_doc()
+        doc["modules"]["p4"]["dimension"] = dimension
+        _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.dimension'")
+    doc = _pentagon_plan_doc()
+    doc["modules"]["p4"]["actions"] = {}
+    _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.actions'")
+    del doc["modules"]["p4"]["actions"]
+    _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.actions'")
+
+
 def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
     def refused(doc, problem):
         for verb in ("verify", "prime-graph", "digraph", "sigma"):

@@ -16,6 +16,7 @@ from helpers import (
     oracle_has_triangle,
     random_graph,
     relabeled,
+    unpruned_generation,
 )
 from solvgraph import (
     INFINITE_GIRTH,
@@ -209,9 +210,32 @@ def test_enumeration_counts_match_published_sequences():
     assert [len(enumerate_graphs(n)) for n in range(1, 8)] == [
         1, 2, 4, 11, 34, 156, 1044,
     ]
-    assert [len(enumerate_graphs(n, triangle_free=True)) for n in range(1, 9)] == [
-        1, 2, 3, 7, 14, 38, 107, 410,
+    # OEIS A006785; criterion 02 has generated n = 9 already
+    assert [len(enumerate_graphs(n, triangle_free=True)) for n in range(1, 10)] == [
+        1, 2, 3, 7, 14, 38, 107, 410, 1897,
     ]
+
+
+def test_enumeration_matches_unpruned_augmentation():
+    for n in range(8):
+        assert enumerate_graphs(n, triangle_free=True) == unpruned_generation(n, True)
+    for n in range(7):
+        assert enumerate_graphs(n) == unpruned_generation(n, False)
+
+
+def test_triangle_free_classes_are_pairwise_non_isomorphic_by_networkx():
+    nx = pytest.importorskip("networkx")  # optional second route
+    for n in range(1, 8):
+        # isomorphic graphs share their sorted degree sequence
+        by_degrees: dict[tuple, list] = {}
+        for g in enumerate_graphs(n, triangle_free=True):
+            h = nx.Graph()
+            h.add_nodes_from(g.vertices)
+            h.add_edges_from(g.edges)
+            by_degrees.setdefault(tuple(sorted(d for _, d in h.degree)), []).append(h)
+        for same in by_degrees.values():
+            for a, b in combinations(same, 2):
+                assert not nx.is_isomorphic(a, b)
 
 
 def test_enumeration_is_isomorphism_free():
