@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import LabeledGraph, Orientation, directed_neighborhood, isomorphic, cycle_graph
+from .graphs import LabeledGraph, Orientation, ring, isomorphic, cycle_graph
 from .realizability import validate_frobenius_orientation
 
 
@@ -73,15 +73,13 @@ def analyze(o: Orientation) -> DigraphAnalysis:
             d_set.add(v)
         else:
             o_set.add(v)
-    pi_set = {
-        v for v in o.vertices if directed_neighborhood(o, v, 2, "in")
-    }
+    pi_set = {v for v in o.vertices if ring(into, v, 2)}
     assert pi_set <= i_set
     phi_set = i_set - pi_set
     o1_of = {
-        v: frozenset(directed_neighborhood(o, v, 1, "in") & o_set) for v in sorted(i_set, key=o.vertices.index)
+        v: frozenset(ring(into, v, 1) & o_set) for v in sorted(i_set, key=o.vertices.index)
     }
-    n2 = {v: directed_neighborhood(o, v, 2, "in") for v in pi_set}
+    n2 = {v: ring(into, v, 2) for v in pi_set}
     if pi_set:
         o1 = frozenset().union(*(o1_of[p] for p in pi_set))
         o1_star = frozenset.intersection(*(o1_of[p] for p in pi_set))

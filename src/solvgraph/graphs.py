@@ -22,6 +22,8 @@ INFINITE_GIRTH = math.inf
 
 CANONICAL_VERTEX_BOUND = 10
 
+COLOR_NODE_BOUND = 1_000_000
+
 
 @dataclass(frozen=True, init=False)
 class LabeledGraph:
@@ -218,16 +220,21 @@ def complement(g: LabeledGraph) -> LabeledGraph:
 
 def find_triangle(g: LabeledGraph) -> tuple[str, str, str] | None:
     """Lexicographically least triangle under vertex order, or None."""
-    rows = g.adjacency_rows()
-    n = g.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not rows[i] >> j & 1:
-                continue
-            common = rows[i] & rows[j] & (~((1 << (j + 1)) - 1))
+    triangle = _triangle_in_rows(g.adjacency_rows())
+    return None if triangle is None else tuple(g.vertices[i] for i in triangle)
+
+
+def _triangle_in_rows(rows) -> tuple[int, int, int] | None:
+    """Least (i, j, l), i < j < l, pairwise adjacent in ``rows``, or None."""
+    for i, row in enumerate(rows):
+        later = row >> (i + 1) << (i + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            j = low.bit_length() - 1
+            common = later & rows[j]
             if common:
-                k = (common & -common).bit_length() - 1
-                return (g.vertices[i], g.vertices[j], g.vertices[k])
+                return i, j, (common & -common).bit_length() - 1
     return None
 
 
@@ -238,52 +245,113 @@ def is_triangle_free(g: LabeledGraph) -> bool:
 def color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
     """Exact backtracking k-coloring with saturation-degree ordering.
 
+    DSATUR (Brélaz 1979): the next vertex is the uncolored one of most
+    distinct neighbour colors, then of largest degree, then earliest in
+    vertex order; colors are tried ascending.  The state is incremental:
+    per color, the bit mask of vertices with a neighbour of that color,
+    and per saturation value, the bit mask of uncolored vertices that
+    have it.  Assigning a color moves only the vertices it newly
+    saturates up one bucket, and backtracking moves them back down.
+
     Returns (coloring or None, number of assignments tried).  A None
     result is a proof by exhaustion that no proper k-coloring exists.
+    Raises LimitExceeded when more than COLOR_NODE_BOUND assignments are
+    needed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = g.n
-    if n == 0:
-        return Coloring({}), 0
-    rows = g.adjacency_rows()
-    degrees = [rows[i].bit_count() for i in range(n)]
-    colors: list[int | None] = [None] * n
+    colors, nodes = _color_rows(g.adjacency_rows(), k)
+    if colors is None:
+        return None, nodes
+    return Coloring(dict(zip(g.vertices, colors))), nodes
+
+
+def complement_search(
+    g: LabeledGraph, k: int
+) -> tuple[tuple[str, str, str] | None, Coloring | None, int]:
+    """find_triangle, then color_search, on the complement of g.
+
+    The complement is built as adjacency bit rows only, never as a
+    graph, and just the triangle or the coloring is mapped back to
+    labels.  Returns (least triangle, None, 0) when the complement has
+    one, else (None, coloring or None, number of assignments tried).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    full = (1 << g.n) - 1
+    rows = [(full ^ row) & ~(1 << i) for i, row in enumerate(g.adjacency_rows())]
+    triangle = _triangle_in_rows(rows)
+    if triangle is not None:
+        return tuple(g.vertices[i] for i in triangle), None, 0
+    colors, nodes = _color_rows(rows, k)
+    if colors is None:
+        return None, None, nodes
+    return None, Coloring(dict(zip(g.vertices, colors))), nodes
+
+
+def _color_rows(rows, k: int) -> tuple[list[int] | None, int]:
+    """color_search on adjacency bit rows; colors are listed by row index."""
+    bound = COLOR_NODE_BOUND
+    n = len(rows)
+    # Work on ranks, degree descending then index ascending, so that the
+    # lowest bit of the highest nonempty bucket is the vertex DSATUR picks.
+    order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    ranked = []
+    for i in order:
+        row, bits = rows[i], 0
+        while row:
+            low = row & -row
+            row ^= low
+            bits |= 1 << rank[low.bit_length() - 1]
+        ranked.append(bits)
+    seen = [0] * k  # seen[c]: vertices with a neighbour colored c
+    buckets = [0] * (k + 1)  # buckets[s]: uncolored vertices of saturation s
+    buckets[0] = uncolored = (1 << n) - 1
+    colors = [0] * n
+    trail = []  # (vertex, color, its saturation, seen[color] before, raised)
     nodes = 0
-
-    def pick() -> int | None:
-        best = None
-        best_key = None
-        for i in range(n):
-            if colors[i] is not None:
-                continue
-            saturation = len(
-                {colors[j] for j in range(n) if rows[i] >> j & 1 and colors[j] is not None}
-            )
-            key = (saturation, degrees[i], -i)
-            if best is None or key > best_key:
-                best, best_key = i, key
-        return best
-
-    def solve() -> bool:
-        nonlocal nodes
-        i = pick()
-        if i is None:
-            return True
-        forbidden = {colors[j] for j in range(n) if rows[i] >> j & 1 and colors[j] is not None}
-        for c in range(k):
-            if c in forbidden:
-                continue
-            nodes += 1
-            colors[i] = c
-            if solve():
-                return True
-            colors[i] = None
-        return False
-
-    if solve():
-        return Coloring({g.vertices[i]: colors[i] for i in range(n)}), nodes
-    return None, nodes
+    while True:
+        s = k
+        while s >= 0 and not buckets[s]:
+            s -= 1
+        if s < 0:
+            return [colors[r] for r in rank], nodes
+        v = (buckets[s] & -buckets[s]).bit_length() - 1
+        c = 0
+        while True:
+            while c < k and seen[c] >> v & 1:
+                c += 1
+            if c < k:
+                break
+            if not trail:
+                return None, nodes
+            v, c, s, before, raised = trail.pop()
+            seen[c] = before
+            for t in range(1, k + 1):  # upwards, so nothing moves twice
+                moved = buckets[t] & raised
+                if moved:
+                    buckets[t] ^= moved
+                    buckets[t - 1] |= moved
+            uncolored |= 1 << v
+            buckets[s] |= 1 << v
+            c += 1
+        nodes += 1
+        if nodes > bound:
+            raise LimitExceeded(f"coloring search limited to {bound} nodes")
+        uncolored ^= 1 << v
+        buckets[s] ^= 1 << v
+        raised = ranked[v] & uncolored & ~seen[c]
+        trail.append((v, c, s, seen[c], raised))
+        seen[c] |= ranked[v]
+        for t in range(k - 1, -1, -1):  # downwards, so nothing moves twice
+            moved = buckets[t] & raised
+            if moved:
+                buckets[t] ^= moved
+                buckets[t + 1] |= moved
+        colors[v] = c
 
 
 def color_with_at_most(g: LabeledGraph, k: int) -> Coloring | None:
@@ -296,30 +364,55 @@ def lex_least_coloring(g: LabeledGraph, k: int = 3) -> Coloring | None:
 
     Deterministic anchor for the canonical orientation: backtracking in
     vertex order trying color indices ascending returns the least color
-    sequence first.
+    sequence first.  Forward checking keeps, per color, the bit mask of
+    vertices with a neighbour of that color, and refuses a color as soon
+    as it leaves a later vertex with all k colors forbidden.  That cuts
+    only subtrees without a solution, so the least sequence is still the
+    first found.
+
+    Raises LimitExceeded when more than COLOR_NODE_BOUND colors are tried.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = g.n
+    bound = COLOR_NODE_BOUND
     rows = g.adjacency_rows()
-    colors: list[int | None] = [None] * n
-
-    def solve(i: int) -> bool:
-        if i == n:
-            return True
-        forbidden = {colors[j] for j in range(i) if rows[i] >> j & 1}
-        for c in range(k):
-            if c in forbidden:
+    n = g.n
+    seen = [0] * k  # seen[c]: vertices with a neighbour colored c
+    colors = [0] * n
+    trail = []  # seen[colors[i]] before vertex i was colored
+    nodes = 0
+    i = c = 0
+    while i < n:
+        while c < k:
+            if seen[c] >> i & 1:
+                c += 1
                 continue
+            nodes += 1
+            if nodes > bound:
+                raise LimitExceeded(f"coloring search limited to {bound} nodes")
+            grown = seen[c] | rows[i]
+            # vertices with all k colors forbidden; colored ones never
+            # are, since no vertex sees its own color
+            stuck = grown
+            for d in range(k):
+                if d != c:
+                    stuck &= seen[d]
+            if not stuck:
+                break
+            c += 1
+        if c < k:
+            trail.append(seen[c])
+            seen[c] = grown
             colors[i] = c
-            if solve(i + 1):
-                return True
-        colors[i] = None
-        return False
-
-    if solve(0):
-        return Coloring({g.vertices[i]: colors[i] for i in range(n)})
-    return None
+            i, c = i + 1, 0
+            continue
+        if i == 0:
+            return None
+        i -= 1
+        c = colors[i]
+        seen[c] = trail.pop()
+        c += 1
+    return Coloring(dict(zip(g.vertices, colors)))
 
 
 def girth(g: LabeledGraph):
@@ -354,7 +447,7 @@ def neighborhood(g: LabeledGraph, v: str, k: int) -> frozenset[str]:
     """Vertices at shortest-path distance exactly k from v."""
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v!r}")
-    return _ring(g.adjacency(), v, k)
+    return ring(g.adjacency(), v, k)
 
 
 def directed_neighborhood(o: Orientation, v: str, k: int, direction: str) -> frozenset[str]:
@@ -367,11 +460,15 @@ def directed_neighborhood(o: Orientation, v: str, k: int, direction: str) -> fro
         raise ValueError(f"unknown vertex {v!r}")
     if direction not in ("in", "out"):
         raise ValueError('direction must be "in" or "out"')
-    return _ring(o.in_neighbors() if direction == "in" else o.out_neighbors(), v, k)
+    return ring(o.in_neighbors() if direction == "in" else o.out_neighbors(), v, k)
 
 
-def _ring(step: dict, v: str, k: int) -> frozenset[str]:
-    """Vertices at distance exactly k from v along ``step``, by BFS."""
+def ring(step: dict, v: str, k: int) -> frozenset[str]:
+    """Vertices at distance exactly k from v along ``step``, by BFS.
+
+    ``step`` maps each vertex to its neighbours, e.g. ``g.adjacency()``
+    or ``o.in_neighbors()``; build it once to ask about many vertices.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     dist = {v: 0}

@@ -19,8 +19,7 @@ from .graphs import (
     LabeledGraph,
     Orientation,
     canonical_form,
-    color_search,
-    complement,
+    complement_search,
     cycle_graph,
     enumerate_graphs,
     find_triangle,
@@ -69,13 +68,18 @@ class RealizabilityVerdict:
 def is_solvable_prime_graph(g: LabeledGraph) -> RealizabilityVerdict:
     """Realizability verdict with certificate or violation.
 
+    The complement is built as adjacency bit rows only, never as a
+    graph (``complement_search``): the least-triangle test and the
+    incremental DSATUR search of ``color_search`` run on those rows.
+    ``search_nodes`` counts the assignments the search tried; the search
+    raises LimitExceeded past ``COLOR_NODE_BOUND`` of them.
+
     Rejects the empty vertex set: prime graphs of nontrivial groups are
     nonempty, and a single vertex is realizable (any p-group).
     """
     if g.n == 0:
         raise ValueError("empty vertex set has no realizability verdict")
-    co = complement(g)
-    triangle = find_triangle(co)
+    triangle, coloring, nodes = complement_search(g, 3)
     if triangle is not None:
         return RealizabilityVerdict(
             realizable=False,
@@ -83,7 +87,6 @@ def is_solvable_prime_graph(g: LabeledGraph) -> RealizabilityVerdict:
             violation=Violation(VIOLATION_TRIANGLE, triangle),
             search_nodes=0,
         )
-    coloring, nodes = color_search(co, 3)
     if coloring is None:
         return RealizabilityVerdict(
             realizable=False,

@@ -4,6 +4,10 @@ The oracles here deliberately avoid the library's algorithms: coloring by
 enumerating all labelings, triangles by scanning vertex triples, girth by
 trying every cycle length, and orientation existence by backtracking over
 edge directions.  They are the second route in every dual check.
+
+reference_color_search and reference_lex_least_coloring are the library's
+earlier plain backtracking searches, kept unchanged: the current searches
+must reproduce their colorings (and node counts) exactly.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from itertools import combinations, permutations, product
 from operator import mul
 
 from solvgraph import (
+    Coloring,
     LabeledGraph,
     Orientation,
     canonical_form,
     canonical_graph,
+    complement,
     cycle_graph,
     enumerate_graphs,
     find_triangle,
@@ -46,6 +52,13 @@ def mycielski(g: LabeledGraph) -> LabeledGraph:
 
 def grotzsch() -> LabeledGraph:
     return mycielski(cycle_graph("abcde"))
+
+
+def numbered(g: LabeledGraph) -> LabeledGraph:
+    """g with its vertices renamed "0", "1", ... in vertex order, so that
+    mycielski can be applied again."""
+    name = {v: str(i) for i, v in enumerate(g.vertices)}
+    return LabeledGraph(name.values(), [(name[u], name[v]) for u, v in g.edges])
 
 
 def six_prime_example_orientation() -> Orientation:
@@ -104,6 +117,35 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> LabeledGraph:
     return LabeledGraph(labels, edges)
 
 
+def maximal_triangle_free(rng: random.Random, n: int) -> LabeledGraph:
+    """Insert all vertex pairs in random order, skipping any that would
+    close a triangle."""
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs:
+        if not adj[u] & adj[v]:
+            adj[u].add(v)
+            adj[v].add(u)
+    return LabeledGraph(
+        [str(i) for i in range(n)],
+        [(str(u), str(v)) for u in range(n) for v in adj[u] if u < v],
+    )
+
+
+def planted_three_colorable(rng: random.Random, n: int, m: int) -> LabeledGraph:
+    """m random edges between the classes of a random 3-labeling, vertices
+    in random order (no order that makes the least coloring easy)."""
+    label = [rng.randrange(3) for _ in range(n)]
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if label[u] != label[v]]
+    names = [str(i) for i in range(n)]
+    rng.shuffle(names)
+    return LabeledGraph(
+        [str(i) for i in range(n)],
+        [(names[u], names[v]) for u, v in rng.sample(pairs, min(m, len(pairs)))],
+    )
+
+
 def relabeled(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
     new = [f"r{i}" for i in range(g.n)]
     rng.shuffle(new)
@@ -130,6 +172,15 @@ def oracle_colorable(g: LabeledGraph, k: int) -> bool:
         if all(colors[u] != colors[v] for u, v in g.edges):
             return True
     return False
+
+
+def oracle_lex_least_coloring(g: LabeledGraph, k: int) -> tuple[int, ...] | None:
+    """First proper labeling in lexicographic order over all k**n."""
+    for assignment in product(range(k), repeat=g.n):
+        colors = dict(zip(g.vertices, assignment))
+        if all(colors[u] != colors[v] for u, v in g.edges):
+            return assignment
+    return None
 
 
 def oracle_girth(g: LabeledGraph):
@@ -175,6 +226,112 @@ def unpruned_generation(n: int, triangle_free: bool) -> tuple[LabeledGraph, ...]
                 )
                 children.setdefault(canonical_form(child), child)
     return tuple(canonical_graph(children[form]) for form in sorted(children))
+
+
+def reference_color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
+    """Exact backtracking k-coloring with saturation-degree ordering.
+
+    Returns (coloring or None, number of assignments tried).  A None
+    result is a proof by exhaustion that no proper k-coloring exists.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = g.n
+    if n == 0:
+        return Coloring({}), 0
+    rows = g.adjacency_rows()
+    degrees = [rows[i].bit_count() for i in range(n)]
+    colors: list[int | None] = [None] * n
+    nodes = 0
+
+    def pick() -> int | None:
+        best = None
+        best_key = None
+        for i in range(n):
+            if colors[i] is not None:
+                continue
+            saturation = len(
+                {colors[j] for j in range(n) if rows[i] >> j & 1 and colors[j] is not None}
+            )
+            key = (saturation, degrees[i], -i)
+            if best is None or key > best_key:
+                best, best_key = i, key
+        return best
+
+    def solve() -> bool:
+        nonlocal nodes
+        i = pick()
+        if i is None:
+            return True
+        forbidden = {colors[j] for j in range(n) if rows[i] >> j & 1 and colors[j] is not None}
+        for c in range(k):
+            if c in forbidden:
+                continue
+            nodes += 1
+            colors[i] = c
+            if solve():
+                return True
+            colors[i] = None
+        return False
+
+    if solve():
+        return Coloring({g.vertices[i]: colors[i] for i in range(n)}), nodes
+    return None, nodes
+
+
+def reference_lex_least_coloring(g: LabeledGraph, k: int = 3) -> Coloring | None:
+    """The lexicographically least proper <=k-coloring in vertex order.
+
+    Deterministic anchor for the canonical orientation: backtracking in
+    vertex order trying color indices ascending returns the least color
+    sequence first.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = g.n
+    rows = g.adjacency_rows()
+    colors: list[int | None] = [None] * n
+
+    def solve(i: int) -> bool:
+        if i == n:
+            return True
+        forbidden = {colors[j] for j in range(i) if rows[i] >> j & 1}
+        for c in range(k):
+            if c in forbidden:
+                continue
+            colors[i] = c
+            if solve(i + 1):
+                return True
+        colors[i] = None
+        return False
+
+    if solve(0):
+        return Coloring({g.vertices[i]: colors[i] for i in range(n)})
+    return None
+
+
+def reference_verdict_document(g: LabeledGraph) -> dict:
+    """The check document of g from complement, find_triangle and
+    reference_color_search, written out field by field."""
+    co = complement(g)
+    triangle = find_triangle(co)
+    if triangle is not None:
+        coloring, nodes = None, 0
+        violation = {"kind": "triangle-in-complement", "vertices": list(triangle)}
+    else:
+        coloring, nodes = reference_color_search(co, 3)
+        violation = (
+            None
+            if coloring is not None
+            else {"kind": "complement-not-3-colorable", "vertices": []}
+        )
+    return {
+        "schema": "solvgraph.check/1",
+        "realizable": coloring is not None,
+        "search_nodes": nodes,
+        "coloring": None if coloring is None else dict(sorted(coloring.assignment.items())),
+        "violation": violation,
+    }
 
 
 def oracle_max_clique(g: LabeledGraph) -> int:

@@ -6,6 +6,8 @@ import ast
 import json
 from pathlib import Path
 
+from helpers import grotzsch
+from solvgraph import complement, emit_edge_list
 from solvgraph.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +41,18 @@ def test_check_malformed_input(tmp_path, capsys):
     code = run(["check", _write(tmp_path, "g.txt", "a a\n")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_search_budget_is_exit_3(tmp_path, capsys, monkeypatch):
+    # the default budget is far above any search a test can afford; the
+    # verdict's search gets a tiny one, as if the input had outgrown it
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 5)
+    path = _write(tmp_path, "g.txt", emit_edge_list(complement(grotzsch())))
+    code = run(["check", path])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "limited to 5 nodes" in err
 
 
 def test_orient_then_validate(tmp_path, capsys):

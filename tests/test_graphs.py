@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    grotzsch,
     oracle_colorable,
     oracle_girth,
     oracle_has_triangle,
+    oracle_lex_least_coloring,
+    planted_three_colorable,
     random_graph,
+    reference_lex_least_coloring,
     relabeled,
     unpruned_generation,
 )
@@ -37,7 +41,7 @@ from solvgraph import (
     path_graph,
 )
 from solvgraph.errors import LimitExceeded
-from solvgraph.graphs import lex_least_coloring
+from solvgraph.graphs import color_search, lex_least_coloring
 
 
 @st.composite
@@ -120,18 +124,53 @@ def test_coloring_agrees_with_label_enumeration():
 
 
 def test_lex_least_coloring_is_least():
-    co = complement(cycle_graph("abcde"))
-    coloring = lex_least_coloring(co, 3)
-    assert coloring is not None and coloring.is_proper_on(co)
-    sequence = tuple(coloring.assignment[v] for v in co.vertices)
-    # compare against every proper <=3 labeling
-    best = None
-    for assignment in __import__("itertools").product(range(3), repeat=co.n):
-        colors = dict(zip(co.vertices, assignment))
-        if all(colors[u] != colors[v] for u, v in co.edges):
-            if best is None or assignment < best:
-                best = assignment
-    assert sequence == best
+    # compare against every proper <=k labeling
+    cases = [(g, k) for n in range(1, 7) for g in enumerate_graphs(n) for k in (1, 2, 3)]
+    cases.append((complement(cycle_graph("abcde")), 3))
+    for g, k in cases:
+        coloring = lex_least_coloring(g, k)
+        best = oracle_lex_least_coloring(g, k)
+        if best is None:
+            assert coloring is None
+        else:
+            assert coloring is not None and coloring.is_proper_on(g)
+            assert tuple(coloring.assignment[v] for v in g.vertices) == best
+
+
+def test_lex_least_coloring_matches_reference_search():
+    rng = random.Random(0)
+    for _ in range(200):
+        n = rng.randrange(1, 31)
+        g = planted_three_colorable(rng, n, rng.randrange(3 * n + 1))
+        assert lex_least_coloring(g, 3) == reference_lex_least_coloring(g, 3)
+
+
+def test_lex_least_coloring_random_order_planted_60(monkeypatch):
+    # plain backtracking (reference_lex_least_coloring) took 114 s on this
+    # graph on a 2-core x86 machine; forward checking needs 18,855 nodes,
+    # so a tenth of the default budget is enough
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 100_000)
+    g = planted_three_colorable(random.Random(0), 60, 90)
+    coloring = lex_least_coloring(g, 3)
+    assert coloring is not None and coloring.is_proper_on(g)
+
+
+def test_color_search_budget(monkeypatch):
+    g = grotzsch()
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 153)
+    assert color_search(g, 3) == (None, 153)
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 152)
+    with pytest.raises(LimitExceeded, match="limited to 152 nodes"):
+        color_search(g, 3)
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 5)
+    with pytest.raises(LimitExceeded, match="limited to 5 nodes"):
+        color_search(g, 3)
+
+
+def test_lex_least_coloring_budget(monkeypatch):
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 5)
+    with pytest.raises(LimitExceeded, match="limited to 5 nodes"):
+        lex_least_coloring(grotzsch(), 3)
 
 
 def test_girth_examples():

@@ -5,8 +5,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import all_valid_orientations, relabeled
+from helpers import (
+    all_valid_orientations,
+    grotzsch,
+    maximal_triangle_free,
+    mycielski,
+    numbered,
+    random_graph,
+    reference_color_search,
+    reference_verdict_document,
+    relabeled,
+)
 from solvgraph import (
     Coloring,
     LabeledGraph,
@@ -23,7 +35,7 @@ from solvgraph import (
     path_graph,
     validate_frobenius_orientation,
 )
-from solvgraph.graphs import with_edge
+from solvgraph.graphs import color_search, with_edge
 from solvgraph.realizability import (
     VIOLATION_NOT_3_COLORABLE,
     VIOLATION_TRIANGLE,
@@ -198,3 +210,40 @@ def test_orient_from_coloring_output_validates_on_random_realizable():
         o = orient_from_coloring(verdict_side, coloring)
         assert validate_frobenius_orientation(o) == []
         seen += 1
+
+
+@st.composite
+def search_inputs(draw):
+    """A graph on at most 40 vertices: G(n, p), or the complement of a
+    triangle-free graph (maximal, or thinned), so that verdicts reach
+    the coloring search; plus a number of colors."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "maximal", "thinned"]))
+    if kind == "random":
+        g = random_graph(rng, n, draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9])))
+    else:
+        t = maximal_triangle_free(rng, n)
+        if kind == "thinned":
+            t = LabeledGraph(t.vertices, [e for e in t.sorted_edges() if rng.random() < 0.8])
+        g = complement(t)
+    return g, draw(st.integers(min_value=1, max_value=4))
+
+
+@given(search_inputs())
+@settings(max_examples=100, deadline=None)
+def test_search_and_verdict_match_the_reference_search(case):
+    g, k = case
+    assert color_search(g, k) == reference_color_search(g, k)
+    assert is_solvable_prime_graph(g).to_json_dict() == reference_verdict_document(g)
+
+
+def test_search_and_verdict_match_the_reference_on_large_inputs():
+    m11 = grotzsch()
+    m23 = mycielski(numbered(m11))
+    m47 = mycielski(numbered(m23))
+    mtf100 = maximal_triangle_free(random.Random(0), 100)
+    for t in (m11, m23, m47, mtf100):
+        assert color_search(t, 3) == reference_color_search(t, 3)
+        g = complement(t)
+        assert is_solvable_prime_graph(g).to_json_dict() == reference_verdict_document(g)
