@@ -39,6 +39,7 @@ from .realizability import (
 from .synthesis import (
     CONGRUENCE_GLOBAL,
     CONGRUENCE_PER_ARC,
+    DEFAULT_PRIME_CAP,
     estimate_order,
     plan_from_json_dict,
     plan_to_json_dict,
@@ -50,6 +51,16 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+
+
+def _prime_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return cap
 
 
 def _read(path: str) -> str:
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC],
         default=CONGRUENCE_GLOBAL,
     )
-    p.add_argument("--prime-cap", type=int, default=10**6)
+    p.add_argument("--prime-cap", type=_prime_cap, default=DEFAULT_PRIME_CAP)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("prime-graph", help="prime graph of a plan's model")
@@ -330,3 +341,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -43,22 +43,16 @@ def _meaningful_lines(text: str):
 
 def _parse_lines(text: str, separator: str | None):
     """Shared edge-list / arc-list reader; separator is None or '>'."""
-    vertices: list[str] = []
-    seen: set[str] = set()
+    vertices: dict[str, None] = {}  # an insertion-ordered set
     pairs: list[tuple[str, str]] = []
-
-    def note_vertex(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-
+    seen_pairs: set[frozenset[str]] = set()
     first = True
     for offset, line in _meaningful_lines(text):
         if first and line.startswith("vertices:"):
             for v in line[len("vertices:") :].split():
-                if v in seen:
+                if v in vertices:
                     raise FormatError(f"vertex {v!r} declared twice", offset)
-                note_vertex(v)
+                vertices[v] = None
             first = False
             continue
         first = False
@@ -77,12 +71,14 @@ def _parse_lines(text: str, separator: str | None):
         u, v = tokens
         if u == v:
             raise FormatError(f"loop at vertex {u!r}", offset)
-        note_vertex(u)
-        note_vertex(v)
-        if any({u, v} == {a, b} for a, b in pairs):
+        vertices.setdefault(u)
+        vertices.setdefault(v)
+        pair = frozenset((u, v))
+        if pair in seen_pairs:
             raise FormatError(f"duplicate pair {u!r} {v!r}", offset)
+        seen_pairs.add(pair)
         pairs.append((u, v))
-    return vertices, pairs
+    return list(vertices), pairs
 
 
 def parse_edge_list(text: str) -> LabeledGraph:
@@ -114,19 +110,12 @@ def parse_graph6(data: bytes | str) -> LabeledGraph:
         data = data.encode("ascii")
     data = data.rstrip(b"\r\n")
     n, rows = rows_from_g6_bytes(data)
-    labels = tuple(str(i) for i in range(n))
-    edges = [
-        (labels[i], labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rows[i] >> j & 1
-    ]
-    return LabeledGraph(labels, edges)
+    return LabeledGraph.from_rows(tuple(map(str, range(n))), rows)
 
 
 def emit_graph6(g: LabeledGraph) -> bytes:
     """Encode in g's own vertex order, so parse-then-emit is byte exact."""
-    return g6_bytes_from_rows(g.n, g.adjacency_rows())
+    return g6_bytes_from_rows(g.n, g.rows)
 
 
 def parse_graph_auto(data: bytes | str) -> LabeledGraph:

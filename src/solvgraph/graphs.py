@@ -1,9 +1,11 @@
 """Simple undirected/directed graphs over opaque string labels.
 
 One graph type serves both abstract graphs and prime graphs (primes are
-their decimal renderings).  Vertex *order* is significant: it fixes edge
+their decimal renderings).  It stores the vertex tuple and one adjacency
+bit row per vertex; every search below runs on those rows, and the edge
+set is derived from them.  Vertex *order* is significant: it fixes edge
 normalization, lexicographic tie-breaking, and serialization, while
-equality and hashing see the graph as (vertex tuple, edge set).
+equality and hashing see the graph as (vertex tuple, rows).
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe.
@@ -13,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .errors import LimitExceeded
+from .errors import FormatError, LimitExceeded
 
 INFINITE_GIRTH = math.inf
 
@@ -27,33 +29,35 @@ COLOR_NODE_BOUND = 1_000_000
 
 @dataclass(frozen=True, init=False)
 class LabeledGraph:
-    """Undirected simple graph: ordered vertex labels plus an edge set.
+    """Undirected simple graph: ordered vertex labels plus adjacency rows.
 
-    Edges are stored as pairs ordered by vertex position.  No loops, no
-    duplicate labels, every endpoint listed.
+    ``rows[i]`` is the bit mask of the neighbours of ``vertices[i]``.  No
+    loops, no duplicate labels, every endpoint listed.  ``edges`` is
+    derived from the rows: pairs ordered by vertex position.
     """
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    rows: tuple[int, ...]
 
     def __init__(self, vertices, edges):
         vertices = tuple(str(v) for v in vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
-        position = {v: i for i, v in enumerate(vertices)}
-        normalized = set()
-        for edge in edges:
-            u, v = edge
-            u, v = str(u), str(v)
-            if u == v:
-                raise ValueError(f"loop at vertex {u!r}")
-            if u not in position or v not in position:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an unlisted endpoint")
-            if position[u] > position[v]:
-                u, v = v, u
-            normalized.add((u, v))
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", frozenset(normalized))
+        rows = [0] * len(vertices)
+        for u, v in edges:
+            i, j = self._pair(u, v)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def from_rows(cls, vertices: tuple[str, ...], rows) -> LabeledGraph:
+        """Graph on rows the library built itself; nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "rows", tuple(rows))
+        return g
 
     # -- basic accessors -------------------------------------------------
 
@@ -61,40 +65,52 @@ class LabeledGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def position(self, v: str) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise ValueError(f"unknown vertex {v!r}") from None
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def _pair(self, u, v) -> tuple[int, int]:
+        """Positions of the endpoints of a new edge, checked."""
+        u, v = str(u), str(v)
+        if u == v:
+            raise ValueError(f"loop at vertex {u!r}")
+        index = self._index
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an unlisted endpoint")
+        return index[u], index[v]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.sorted_edges())
 
     def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
+        index = self._index
+        return u in index and v in index and self.rows[index[u]] >> index[v] & 1 == 1
 
     def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        vs = self.vertices
+        return {v: {vs[j] for j in _bits(row)} for v, row in zip(vs, self.rows)}
 
     def degree(self, v: str) -> int:
-        if v not in self.vertices:
+        if v not in self._index:
             raise ValueError(f"unknown vertex {v!r}")
-        return sum(1 for e in self.edges if v in e)
+        return self.rows[self._index[v]].bit_count()
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        return sorted(self.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
+        vs = self.vertices
+        return [
+            (vs[i], vs[j])
+            for i, row in enumerate(self.rows)
+            for j in _bits(row >> (i + 1) << (i + 1))
+        ]
 
-    def adjacency_rows(self) -> tuple[int, ...]:
-        """Row bitmasks indexed by vertex position."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        rows = [0] * self.n
-        for u, v in self.edges:
-            i, j = pos[u], pos[v]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 @dataclass(frozen=True, init=False)
@@ -142,10 +158,8 @@ class Orientation:
 
 def orientation_from_arcs(vertices, arcs) -> Orientation:
     """Build an Orientation whose underlying edges are exactly the arc pairs."""
-    vertices = tuple(str(v) for v in vertices)
-    arcs = [(str(u), str(v)) for u, v in arcs]
-    underlying = LabeledGraph(vertices, [(u, v) for u, v in arcs])
-    return Orientation(underlying, arcs)
+    arcs = list(arcs)
+    return Orientation(LabeledGraph(vertices, arcs), arcs)
 
 
 @dataclass(frozen=True)
@@ -193,15 +207,22 @@ def path_graph(labels) -> LabeledGraph:
 
 
 def with_edge(g: LabeledGraph, u: str, v: str) -> LabeledGraph:
-    return LabeledGraph(g.vertices, set(g.edges) | {(u, v)})
+    i, j = g._pair(u, v)
+    return g if g.rows[i] >> j & 1 else _flipped(g, i, j)
 
 
 def without_edge(g: LabeledGraph, u: str, v: str) -> LabeledGraph:
     if not g.has_edge(u, v):
         raise ValueError(f"no edge between {u!r} and {v!r}")
-    return LabeledGraph(
-        g.vertices, [e for e in g.edges if set(e) != {u, v}]
-    )
+    return _flipped(g, g._index[u], g._index[v])
+
+
+def _flipped(g: LabeledGraph, i: int, j: int) -> LabeledGraph:
+    """g with the pair at positions i, j toggled between edge and non-edge."""
+    rows = list(g.rows)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return LabeledGraph.from_rows(g.vertices, rows)
 
 
 # -- combinatorial primitives ---------------------------------------------
@@ -209,23 +230,15 @@ def without_edge(g: LabeledGraph, u: str, v: str) -> LabeledGraph:
 
 def complement(g: LabeledGraph) -> LabeledGraph:
     """Same vertices; edge present iff absent in g."""
-    present = g.edges
-    edges = [
-        (u, v)
-        for u, v in combinations(g.vertices, 2)
-        if (u, v) not in present and (v, u) not in present
-    ]
-    return LabeledGraph(g.vertices, edges)
+    full = (1 << g.n) - 1
+    return LabeledGraph.from_rows(
+        g.vertices, [full ^ row ^ (1 << i) for i, row in enumerate(g.rows)]
+    )
 
 
 def find_triangle(g: LabeledGraph) -> tuple[str, str, str] | None:
     """Lexicographically least triangle under vertex order, or None."""
-    triangle = _triangle_in_rows(g.adjacency_rows())
-    return None if triangle is None else tuple(g.vertices[i] for i in triangle)
-
-
-def _triangle_in_rows(rows) -> tuple[int, int, int] | None:
-    """Least (i, j, l), i < j < l, pairwise adjacent in ``rows``, or None."""
+    rows = g.rows
     for i, row in enumerate(rows):
         later = row >> (i + 1) << (i + 1)
         while later:
@@ -234,7 +247,8 @@ def _triangle_in_rows(rows) -> tuple[int, int, int] | None:
             j = low.bit_length() - 1
             common = later & rows[j]
             if common:
-                return i, j, (common & -common).bit_length() - 1
+                last = (common & -common).bit_length() - 1
+                return g.vertices[i], g.vertices[j], g.vertices[last]
     return None
 
 
@@ -260,39 +274,9 @@ def color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    colors, nodes = _color_rows(g.adjacency_rows(), k)
-    if colors is None:
-        return None, nodes
-    return Coloring(dict(zip(g.vertices, colors))), nodes
-
-
-def complement_search(
-    g: LabeledGraph, k: int
-) -> tuple[tuple[str, str, str] | None, Coloring | None, int]:
-    """find_triangle, then color_search, on the complement of g.
-
-    The complement is built as adjacency bit rows only, never as a
-    graph, and just the triangle or the coloring is mapped back to
-    labels.  Returns (least triangle, None, 0) when the complement has
-    one, else (None, coloring or None, number of assignments tried).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    full = (1 << g.n) - 1
-    rows = [(full ^ row) & ~(1 << i) for i, row in enumerate(g.adjacency_rows())]
-    triangle = _triangle_in_rows(rows)
-    if triangle is not None:
-        return tuple(g.vertices[i] for i in triangle), None, 0
-    colors, nodes = _color_rows(rows, k)
-    if colors is None:
-        return None, None, nodes
-    return None, Coloring(dict(zip(g.vertices, colors))), nodes
-
-
-def _color_rows(rows, k: int) -> tuple[list[int] | None, int]:
-    """color_search on adjacency bit rows; colors are listed by row index."""
     bound = COLOR_NODE_BOUND
-    n = len(rows)
+    rows = g.rows
+    n = g.n
     # Work on ranks, degree descending then index ascending, so that the
     # lowest bit of the highest nonempty bucket is the vertex DSATUR picks.
     order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
@@ -301,11 +285,9 @@ def _color_rows(rows, k: int) -> tuple[list[int] | None, int]:
         rank[i] = r
     ranked = []
     for i in order:
-        row, bits = rows[i], 0
-        while row:
-            low = row & -row
-            row ^= low
-            bits |= 1 << rank[low.bit_length() - 1]
+        bits = 0
+        for j in _bits(rows[i]):
+            bits |= 1 << rank[j]
         ranked.append(bits)
     seen = [0] * k  # seen[c]: vertices with a neighbour colored c
     buckets = [0] * (k + 1)  # buckets[s]: uncolored vertices of saturation s
@@ -318,7 +300,7 @@ def _color_rows(rows, k: int) -> tuple[list[int] | None, int]:
         while s >= 0 and not buckets[s]:
             s -= 1
         if s < 0:
-            return [colors[r] for r in rank], nodes
+            return Coloring({v: colors[r] for v, r in zip(g.vertices, rank)}), nodes
         v = (buckets[s] & -buckets[s]).bit_length() - 1
         c = 0
         while True:
@@ -375,7 +357,7 @@ def lex_least_coloring(g: LabeledGraph, k: int = 3) -> Coloring | None:
     if k < 1:
         raise ValueError("k must be >= 1")
     bound = COLOR_NODE_BOUND
-    rows = g.adjacency_rows()
+    rows = g.rows
     n = g.n
     seen = [0] * k  # seen[c]: vertices with a neighbour colored c
     colors = [0] * n
@@ -417,7 +399,7 @@ def lex_least_coloring(g: LabeledGraph, k: int = 3) -> Coloring | None:
 
 def girth(g: LabeledGraph):
     """Length of a shortest cycle; INFINITE_GIRTH when g is a forest."""
-    rows = g.adjacency_rows()
+    rows = g.rows
     n = g.n
     best = INFINITE_GIRTH
     for start in range(n):
@@ -428,9 +410,7 @@ def girth(g: LabeledGraph):
         while queue:
             nxt = []
             for x in queue:
-                for y in range(n):
-                    if not rows[x] >> y & 1:
-                        continue
+                for y in _bits(rows[x]):
                     if dist[y] == -1:
                         dist[y] = dist[x] + 1
                         parent[y] = x
@@ -489,15 +469,14 @@ def ring(step: dict, v: str, k: int) -> frozenset[str]:
 def is_connected(g: LabeledGraph) -> bool:
     if g.n == 0:
         return True
-    adj = g.adjacency()
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == g.n
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for i in _bits(frontier):
+            reach |= g.rows[i]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def is_forest(g: LabeledGraph) -> bool:
@@ -528,8 +507,6 @@ def g6_bytes_from_rows(n: int, rows) -> bytes:
 
 def rows_from_g6_bytes(data: bytes) -> tuple[int, tuple[int, ...]]:
     """Unpack graph6 bytes into (n, adjacency rows); strict, no junk allowed."""
-    from .errors import FormatError
-
     if not data:
         raise FormatError("empty graph6 input", 0)
     n = data[0] - 63
@@ -584,13 +561,13 @@ def canonical_form(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) 
         raise LimitExceeded(
             f"canonical form limited to {max_vertices} vertices (got {n})"
         )
-    return _canonical_g6(n, g.adjacency_rows())
+    return _canonical_g6_cached(n, g.rows)
 
 
 def canonical_graph(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) -> LabeledGraph:
     """Canonically labeled representative of g's isomorphism class."""
     n, rows = rows_from_g6_bytes(canonical_form(g, max_vertices))
-    return _graph_from_rows(n, rows)
+    return LabeledGraph.from_rows(tuple(map(str, range(n))), rows)
 
 
 def isomorphic(g: LabeledGraph, h: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) -> bool:
@@ -601,14 +578,6 @@ def isomorphic(g: LabeledGraph, h: LabeledGraph, max_vertices: int = CANONICAL_V
 
 @lru_cache(maxsize=200_000)
 def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
-    return _canonical_g6_compute(n, rows)
-
-
-def _canonical_g6(n: int, rows) -> bytes:
-    return _canonical_g6_cached(n, tuple(rows))
-
-
-def _canonical_g6_compute(n: int, rows: tuple[int, ...]) -> bytes:
     if n <= 1:
         return g6_bytes_from_rows(n, rows)
 
@@ -680,17 +649,6 @@ def _canonical_g6_compute(n: int, rows: tuple[int, ...]) -> bytes:
     return g6_bytes_from_rows(n, out_rows)
 
 
-def _graph_from_rows(n: int, rows) -> LabeledGraph:
-    labels = tuple(str(i) for i in range(n))
-    edges = [
-        (labels[i], labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rows[i] >> j & 1
-    ]
-    return LabeledGraph(labels, edges)
-
-
 # -- exhaustive generation up to isomorphism -------------------------------
 
 
@@ -724,7 +682,7 @@ def _generated_forms(n: int, triangle_free: bool) -> tuple[bytes, ...]:
             new = _invariant(rows, degree, pn)
             if any(_invariant(rows, degree, u) > new for u in range(pn)):
                 continue
-            forms.add(_canonical_g6(n, tuple(rows)))
+            forms.add(_canonical_g6_cached(n, tuple(rows)))
     return tuple(sorted(forms))
 
 
@@ -758,8 +716,8 @@ def enumerate_graphs(n: int, triangle_free: bool = False) -> tuple[LabeledGraph,
         raise ValueError("n must be >= 0")
     if n > 10:
         raise LimitExceeded("exhaustive generation limited to 10 vertices")
-    graphs = []
-    for form in _generated_forms(n, triangle_free):
-        fn, rows = rows_from_g6_bytes(form)
-        graphs.append(_graph_from_rows(fn, rows))
-    return tuple(graphs)
+    labels = tuple(map(str, range(n)))
+    return tuple(
+        LabeledGraph.from_rows(labels, rows_from_g6_bytes(form)[1])
+        for form in _generated_forms(n, triangle_free)
+    )

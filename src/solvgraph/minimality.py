@@ -80,11 +80,10 @@ def linked_vertex_duplication(
             new_label += "'"
     elif new_label in g.vertices:
         raise ValueError(f"label {new_label!r} already in use")
-    adj = g.adjacency()
-    edges = set(g.edges)
-    edges.add((v, new_label))
-    edges.update((w, new_label) for w in adj[v])
-    return LabeledGraph(g.vertices + (new_label,), edges)
+    i = g.vertices.index(v)
+    twin = g.rows[i] | 1 << i
+    rows = [row | (twin >> j & 1) << g.n for j, row in enumerate(g.rows)]
+    return LabeledGraph.from_rows(g.vertices + (new_label,), rows + [twin])
 
 
 def enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:

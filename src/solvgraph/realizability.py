@@ -19,7 +19,8 @@ from .graphs import (
     LabeledGraph,
     Orientation,
     canonical_form,
-    complement_search,
+    color_search,
+    complement,
     cycle_graph,
     enumerate_graphs,
     find_triangle,
@@ -68,18 +69,18 @@ class RealizabilityVerdict:
 def is_solvable_prime_graph(g: LabeledGraph) -> RealizabilityVerdict:
     """Realizability verdict with certificate or violation.
 
-    The complement is built as adjacency bit rows only, never as a
-    graph (``complement_search``): the least-triangle test and the
-    incremental DSATUR search of ``color_search`` run on those rows.
-    ``search_nodes`` counts the assignments the search tried; the search
-    raises LimitExceeded past ``COLOR_NODE_BOUND`` of them.
+    The least-triangle test of ``find_triangle`` and the incremental
+    DSATUR search of ``color_search`` run on the complement's adjacency
+    rows.  ``search_nodes`` counts the assignments the search tried; the
+    search raises LimitExceeded past ``COLOR_NODE_BOUND`` of them.
 
     Rejects the empty vertex set: prime graphs of nontrivial groups are
     nonempty, and a single vertex is realizable (any p-group).
     """
     if g.n == 0:
         raise ValueError("empty vertex set has no realizability verdict")
-    triangle, coloring, nodes = complement_search(g, 3)
+    co = complement(g)
+    triangle = find_triangle(co)
     if triangle is not None:
         return RealizabilityVerdict(
             realizable=False,
@@ -87,6 +88,7 @@ def is_solvable_prime_graph(g: LabeledGraph) -> RealizabilityVerdict:
             violation=Violation(VIOLATION_TRIANGLE, triangle),
             search_nodes=0,
         )
+    coloring, nodes = color_search(co, 3)
     if coloring is None:
         return RealizabilityVerdict(
             realizable=False,
@@ -176,18 +178,14 @@ def _least_cycle(o: Orientation) -> tuple[str, ...] | None:
 def _least_directed_3_path(o: Orientation) -> tuple[str, ...] | None:
     pos = {v: i for i, v in enumerate(o.vertices)}
     out = o.out_neighbors()
-    best = None
+    # paths are visited in lexicographic position order: the first is least
     for a in o.vertices:
         for b in sorted(out[a], key=pos.get):
             for c in sorted(out[b], key=pos.get):
                 for d in sorted(out[c], key=pos.get):
-                    candidate = (a, b, c, d)
-                    if len(set(candidate)) != 4:
-                        continue
-                    key = tuple(pos[x] for x in candidate)
-                    if best is None or key < best[0]:
-                        best = (key, candidate)
-    return None if best is None else best[1]
+                    if len({a, b, c, d}) == 4:
+                        return a, b, c, d
+    return None
 
 
 GIRTH_3 = "girth3"

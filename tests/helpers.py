@@ -183,6 +183,18 @@ def oracle_lex_least_coloring(g: LabeledGraph, k: int) -> tuple[int, ...] | None
     return None
 
 
+def oracle_least_directed_3_path(o: Orientation) -> tuple[str, ...] | None:
+    """Least 4-tuple of distinct vertices, compared by vertex positions,
+    whose consecutive pairs are arcs; a minimum over all 4-tuples."""
+    position = {v: i for i, v in enumerate(o.vertices)}
+    paths = [
+        path
+        for path in permutations(o.vertices, 4)
+        if all((path[i], path[i + 1]) in o.arcs for i in range(3))
+    ]
+    return min(paths, key=lambda path: [position[v] for v in path], default=None)
+
+
 def oracle_girth(g: LabeledGraph):
     """Smallest L such that some L-subset carries a spanning cycle."""
     import math
@@ -228,6 +240,16 @@ def unpruned_generation(n: int, triangle_free: bool) -> tuple[LabeledGraph, ...]
     return tuple(canonical_graph(children[form]) for form in sorted(children))
 
 
+def edge_rows(g: LabeledGraph) -> list[int]:
+    """Neighbour bit masks by vertex position, from g.vertices and g.edges."""
+    position = {v: i for i, v in enumerate(g.vertices)}
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[position[u]] |= 1 << position[v]
+        rows[position[v]] |= 1 << position[u]
+    return rows
+
+
 def reference_color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
     """Exact backtracking k-coloring with saturation-degree ordering.
 
@@ -239,7 +261,7 @@ def reference_color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, in
     n = g.n
     if n == 0:
         return Coloring({}), 0
-    rows = g.adjacency_rows()
+    rows = edge_rows(g)
     degrees = [rows[i].bit_count() for i in range(n)]
     colors: list[int | None] = [None] * n
     nodes = 0
@@ -289,7 +311,7 @@ def reference_lex_least_coloring(g: LabeledGraph, k: int = 3) -> Coloring | None
     if k < 1:
         raise ValueError("k must be >= 1")
     n = g.n
-    rows = g.adjacency_rows()
+    rows = edge_rows(g)
     colors: list[int | None] = [None] * n
 
     def solve(i: int) -> bool:

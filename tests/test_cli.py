@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from helpers import grotzsch
@@ -161,6 +164,14 @@ def test_synthesize_per_arc_flag(tmp_path, capsys):
     assert doc["primes"]["p3"] == "5"
 
 
+def test_prime_cap_below_2_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "o.txt", PENTAGON_ARCS)
+    for cap in ("1", "0", "-5", "two"):
+        assert run(["synthesize", path, f"--prime-cap={cap}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--prime-cap: must be an integer >= 2" in err
+
+
 def test_cli_outputs_are_deterministic(tmp_path, capsys):
     path = _write(tmp_path, "o.txt", PENTAGON_ARCS)
     run(["synthesize", path])
@@ -301,21 +312,23 @@ def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
     refused(doc, "orientation fails validation")
 
 
-def test_cli_import_leaves_numpy_out():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, solvgraph.cli; print('numpy' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
-        text=True,
-        check=True,
     )
-    assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_numpy_out():
+    done = _python("-c", "import sys, solvgraph.cli; print('numpy' in sys.modules)")
+    assert done.stdout.strip() == b"False"
+
+
+def test_module_entry_point_runs_the_cli():
+    done = _python("-m", "solvgraph.cli", "check", str(ROOT / "perfbench" / "data" / "c5.txt"))
+    assert done.returncode == 0
+    assert done.stdout == (ROOT / "perfbench" / "golden" / "check.out").read_bytes()
 
 
 def _benchmark_cli_verbs():

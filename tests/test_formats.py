@@ -112,6 +112,15 @@ def test_arc_list_rejects_double_orientation():
         parse_arc_list("a > b\nb > a\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text", [(parse_edge_list, "a b\nb a\n"), (parse_arc_list, "a > b\nb > a\n")]
+)
+def test_duplicate_pair_reported_at_second_line(parse, text):
+    with pytest.raises(FormatError, match="duplicate pair") as err:
+        parse(text)
+    assert err.value.offset == text.index("\n") + 1
+
+
 def test_auto_detection():
     assert parse_graph_auto("a b\n").has_edge("a", "b")
     assert parse_graph_auto("vertices: q\n").vertices == ("q",)

@@ -41,16 +41,28 @@ from solvgraph import (
     path_graph,
 )
 from solvgraph.errors import LimitExceeded
-from solvgraph.graphs import color_search, lex_least_coloring
+from solvgraph.graphs import color_search, lex_least_coloring, with_edge, without_edge
 
 
 @st.composite
-def graphs(draw, max_n=8):
+def drawn_graphs(draw, max_n=8):
+    """(graph, the pairs it was built from): vertices in a permuted order,
+    each pair in a random direction."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    labels = [str(i) for i in range(n)]
+    labels = draw(st.permutations([str(i) for i in range(n)]))
     pairs = list(combinations(labels, 2))
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
-    return LabeledGraph(labels, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    flips = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    drawn = [
+        (v, u) if flips >> i & 1 else (u, v)
+        for i, (u, v) in enumerate(pairs)
+        if mask >> i & 1
+    ]
+    return LabeledGraph(labels, drawn), drawn
+
+
+def graphs(max_n=8):
+    return drawn_graphs(max_n).map(lambda pair: pair[0])
 
 
 def test_graph_validation():
@@ -60,6 +72,37 @@ def test_graph_validation():
         LabeledGraph(["a", "b"], [("a", "a")])
     with pytest.raises(ValueError):
         LabeledGraph(["a", "b"], [("a", "c")])
+
+
+@given(drawn_graphs())
+@settings(max_examples=200, deadline=None)
+def test_stored_rows_match_the_drawn_pairs(drawn):
+    g, pairs = drawn
+    position = {v: i for i, v in enumerate(g.vertices)}
+    expected = sorted(
+        (tuple(sorted(p, key=position.get)) for p in pairs),
+        key=lambda e: (position[e[0]], position[e[1]]),
+    )
+    adjacency = {v: set() for v in g.vertices}
+    for u, v in pairs:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    assert g.edges == frozenset(expected)
+    assert g.sorted_edges() == expected
+    assert g.adjacency() == adjacency
+    for u in g.vertices:
+        assert g.degree(u) == len(adjacency[u])
+        assert not g.has_edge(u, "absent")
+        for v in g.vertices:
+            assert g.has_edge(u, v) == (v in adjacency[u])
+    again = LabeledGraph(g.vertices, g.edges)
+    assert again == g and hash(again) == hash(g)
+    for u, v in combinations(g.vertices, 2):
+        if v in adjacency[u]:
+            assert with_edge(g, v, u) == g
+        else:
+            assert with_edge(g, u, v).has_edge(v, u)
+            assert without_edge(with_edge(g, u, v), u, v) == g
 
 
 def test_complement_examples():

@@ -14,6 +14,7 @@ from helpers import (
     maximal_triangle_free,
     mycielski,
     numbered,
+    oracle_least_directed_3_path,
     random_graph,
     reference_color_search,
     reference_verdict_document,
@@ -22,6 +23,7 @@ from helpers import (
 from solvgraph import (
     Coloring,
     LabeledGraph,
+    Orientation,
     classify_girth,
     complement,
     complete_graph,
@@ -137,6 +139,21 @@ def test_validator_examples():
         v.vertices for v in validate_frobenius_orientation(loop) if v.kind == "cycle"
     )
     assert set(cycle_witness) == {"a", "b", "c"}
+
+
+def test_directed_3_path_witness_is_least():
+    rng = random.Random(7)
+    cyclic = 0
+    for _ in range(500):
+        g = random_graph(rng, rng.randrange(1, 9), rng.random())
+        vertices = list(g.vertices)
+        rng.shuffle(vertices)
+        g = LabeledGraph(vertices, g.edges)
+        o = Orientation(g, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.sorted_edges()])
+        found = {v.kind: v.vertices for v in validate_frobenius_orientation(o)}
+        assert found.get("directed-3-path") == oracle_least_directed_3_path(o)
+        cyclic += "cycle" in found
+    assert cyclic > 50
 
 
 def test_exceptional_forests_are_the_seven_known_ones():
