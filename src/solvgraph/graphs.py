@@ -520,6 +520,7 @@ def rows_from_g6_bytes(data: bytes) -> tuple[int, tuple[int, ...]]:
         raise FormatError("trailing junk after graph6 body", 1 + nbytes)
     rows = [0] * n
     index = 0
+    i, j = 0, 1  # the pair of the index-th bit, in column-major order
     for byte_at, raw in enumerate(data[1:], start=1):
         value = raw - 63
         if not 0 <= value < 64:
@@ -530,20 +531,13 @@ def rows_from_g6_bytes(data: bytes) -> tuple[int, tuple[int, ...]]:
                     raise FormatError("nonzero padding bits", byte_at)
                 continue
             if value >> shift & 1:
-                j = _pair_col(index)
-                i = index - j * (j - 1) // 2
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             index += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return n, tuple(rows)
-
-
-def _pair_col(index: int) -> int:
-    # column j of the index-th upper-triangle bit in column-major order
-    j = 1
-    while j * (j + 1) // 2 <= index:
-        j += 1
-    return j
 
 
 # -- canonical form ---------------------------------------------------------
@@ -552,9 +546,12 @@ def _pair_col(index: int) -> int:
 def canonical_form(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) -> bytes:
     """Canonical byte string: equal iff graphs are isomorphic.
 
-    Minimizes the graph6 encoding over all vertex permutations with
-    branch-and-bound pruning (partial upper-triangle comparison, twin
-    skipping).  The output doubles as a canonical graph6 encoding.
+    The least graph6 encoding over all vertex permutations, found by a
+    branch-and-bound search over ordered cells of open inner order
+    (McKay's ordered partitions): independent vertices with the same placed
+    neighbours join one cell, in ascending order, instead of branching
+    over their orders.  Partial upper-triangle comparison bounds the
+    search, and a twin of a tried vertex is skipped.
     """
     n = g.n
     if n > max_vertices:
@@ -571,7 +568,7 @@ def canonical_graph(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND)
 
 
 def isomorphic(g: LabeledGraph, h: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) -> bool:
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n or sum(r.bit_count() for r in g.rows) != sum(r.bit_count() for r in h.rows):
         return False
     return canonical_form(g, max_vertices) == canonical_form(h, max_vertices)
 
@@ -581,32 +578,52 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
     if n <= 1:
         return g6_bytes_from_rows(n, rows)
 
-    # Columns are packed into integers, first placed vertex at the high
-    # bit, so integer order equals lexicographic bit order.  colbits[c]
-    # tracks the adjacency of candidate c to the placed prefix and is
-    # updated incrementally on place/unplace.
+    # Columns are packed into integers, first placed position at the high
+    # bit, so integer order equals lexicographic bit order.  The placed
+    # vertices form ordered cells (bit masks) of still open inner order; a
+    # candidate's column is, per cell of size s holding t of its
+    # neighbours, 0^(s-t) 1^t: the least any inner order allows.  Placing
+    # v splits each cell into (non-neighbours, neighbours), the one order
+    # giving v that column, and appends the cell {v}; but v joins the last
+    # cell instead when it has the same placed neighbours as its members.
+    # Joins go in ascending order, so each such set is built once.
+    # colbits[c] follows the cells: col << 1 | adjacency when no cell
+    # splits, one more position in the last segment on a join, and a
+    # recount from the cells after a split.
     best: list[int] | None = None
     generation = 0
-    placed: list[int] = []
     columns: list[int] = []
-    colbits = [0] * n
-    used = 0
 
-    def twins(u: int, w: int) -> bool:
-        return rows[u] & ~(1 << w) == rows[w] & ~(1 << u)
+    adjacent = [[row >> i & 1 for i in range(n)] for row in rows]
+    twins = [0] * n  # twins[u]: the vertices w with the same neighbours as u, u and w aside
+    for u, w in combinations(range(n), 2):
+        if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
+            twins[u] |= 1 << w
+            twins[w] |= 1 << u
 
-    def rec(equals_best: bool) -> None:
-        nonlocal best, generation, used
-        depth = len(placed)
+    def rec(cells: list[int], placed: int, colbits, equals_best: bool) -> None:
+        nonlocal best, generation
+        depth = len(columns)
         if depth == n:
             if best is None or not equals_best:
                 best = columns.copy()
                 generation += 1
             return
-        scored = sorted(
-            (colbits[cand], cand) for cand in range(n) if not used >> cand & 1
-        )
-        tried: list[int] = []
+        free = [cand for cand in range(n) if not placed >> cand & 1]
+        if colbits is None:
+            colbits = [0] * n
+            sizes = [cell.bit_count() for cell in cells]
+            for cand in free:
+                row = rows[cand]
+                col = 0
+                for cell, size in zip(cells, sizes):
+                    col = col << size | (1 << (row & cell).bit_count()) - 1
+                colbits[cand] = col
+        scored = sorted([(colbits[cand], cand) for cand in free])
+        singletons = len(cells) == depth
+        last = cells[-1] if cells else 0
+        last_row = rows[(last & -last).bit_length() - 1] & placed
+        tried = 0
         local_generation = generation
         for col, cand in scored:
             if generation != local_generation:
@@ -619,25 +636,37 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                 child_equals = col == best[depth]
             else:
                 child_equals = False
-            if any(twins(cand, t) for t in tried):
+            if twins[cand] & tried:
                 continue
-            tried.append(cand)
-            placed.append(cand)
-            columns.append(col)
-            used |= 1 << cand
+            tried |= 1 << cand
             row = rows[cand]
-            for other in range(n):
-                if not used >> other & 1:
-                    colbits[other] = colbits[other] << 1 | (row >> other & 1)
-            rec(child_equals)
-            for other in range(n):
-                if not used >> other & 1:
-                    colbits[other] >>= 1
-            used ^= 1 << cand
+            if last and row & placed == last_row:
+                if 1 << cand < last:
+                    continue  # the branch placing cand first covers it; it stays tried
+                child = cells[:-1]
+                child.append(last | 1 << cand)
+                # the last segment becomes 0^(s+1-t-a) 1^(t+a), a = adjacency to cand
+                s = last.bit_count()
+                low = (1 << s) - 1
+                child_bits = [
+                    bits >> s << s + 1 | (bits & low) << a | a
+                    for bits, a in zip(colbits, adjacent[cand])
+                ]
+            else:
+                if singletons:
+                    child = cells + [1 << cand]
+                else:
+                    child = [part for cell in cells for part in (cell & ~row, cell & row) if part]
+                    child.append(1 << cand)
+                if len(child) == len(cells) + 1:  # no cell split
+                    child_bits = [bits << 1 | a for bits, a in zip(colbits, adjacent[cand])]
+                else:
+                    child_bits = None
+            columns.append(col)
+            rec(child, placed | 1 << cand, child_bits, child_equals)
             columns.pop()
-            placed.pop()
 
-    rec(False)
+    rec([], 0, [0] * n, False)
     assert best is not None
     out_rows = [0] * n
     for j in range(1, n):

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's algorithms: coloring by
 enumerating all labelings, triangles by scanning vertex triples, girth by
-trying every cycle length, and orientation existence by backtracking over
-edge directions.  They are the second route in every dual check.
+trying every cycle length, orientation existence by backtracking over
+edge directions, and canonical forms by packing every relabeling.  They
+are the second route in every dual check.
 
 reference_color_search and reference_lex_least_coloring are the library's
 earlier plain backtracking searches, kept unchanged: the current searches
@@ -210,6 +211,43 @@ def oracle_girth(g: LabeledGraph):
                 ):
                     return length
     return math.inf
+
+
+def oracle_canonical_g6(g: LabeledGraph) -> bytes:
+    """Least graph6 encoding of g over all n! relabelings, by brute force.
+
+    The relabeled edge sets are collected as the orbit of g's edge set
+    under the swap (0 1) and the rotation i -> i + 1, which generate every
+    permutation, so a graph with many automorphisms is packed only once
+    per distinct relabeling.  The graph6 packing is written out here, not
+    taken from the library.
+    """
+    n = g.n
+    position = {v: i for i, v in enumerate(g.vertices)}
+    start = frozenset(
+        (min(position[u], position[v]), max(position[u], position[v])) for u, v in g.edges
+    )
+    generators = [tuple(range(n))]
+    if n >= 2:
+        generators = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        edges = frontier.pop()
+        for p in generators:
+            image = frozenset((min(p[i], p[j]), max(p[i], p[j])) for i, j in edges)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+
+    def packed(edges) -> bytes:
+        bits = "".join(
+            "1" if (i, j) in edges else "0" for j in range(1, n) for i in range(j)
+        )
+        bits += "0" * (-len(bits) % 6)
+        return bytes([n + 63] + [63 + int(bits[k : k + 6], 2) for k in range(0, len(bits), 6)])
+
+    return min(packed(edges) for edges in orbit)
 
 
 @lru_cache(maxsize=None)

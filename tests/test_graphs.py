@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     grotzsch,
+    oracle_canonical_g6,
     oracle_colorable,
     oracle_girth,
     oracle_has_triangle,
@@ -265,6 +266,50 @@ def test_canonical_form_random_pairs():
     for _ in range(1000):
         g = random_graph(rng, rng.randrange(1, 9))
         assert canonical_form(g) == canonical_form(relabeled(g, rng))
+
+
+def test_canonical_form_is_least_over_all_relabelings():
+    # every labelled graph on up to 5 vertices
+    for n in range(6):
+        labels = [str(i) for i in range(n)]
+        pairs = list(combinations(labels, 2))
+        for mask in range(1 << len(pairs)):
+            g = LabeledGraph(labels, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            assert canonical_form(g) == oracle_canonical_g6(g)
+    rng = random.Random(6)
+    for g in enumerate_graphs(6):
+        for _ in range(2):
+            h = relabeled(g, rng)
+            assert canonical_form(h) == oracle_canonical_g6(h) == canonical_form(g)
+    named = [
+        LabeledGraph.from_rows(tuple("abcd"), (4, 8, 1, 2)),  # 2K2, adjacent twins
+        complete_graph("abcde"),
+        LabeledGraph("abcxyz", [(u, v) for u in "abc" for v in "xyz"]),  # K3,3
+        LabeledGraph("abcdef", cycle_graph("abcde").edges),  # C5 + K1
+        empty_graph([str(i) for i in range(10)]),
+    ]
+    for g in named:
+        assert canonical_form(g) == oracle_canonical_g6(g)
+
+
+@st.composite
+def relabeled_pairs(draw, max_n=10):
+    """(graph, a random relabeling of it) on up to max_n vertices; the edge
+    density is drawn too, from empty to complete."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    density = draw(st.integers(min_value=0, max_value=8)) / 8
+    rng = draw(st.randoms(use_true_random=False))
+    g = random_graph(rng, n, density)
+    return g, relabeled(g, rng)
+
+
+@given(relabeled_pairs())
+@settings(max_examples=200, deadline=None)
+def test_canonical_form_is_invariant_under_relabeling(pair):
+    g, h = pair
+    for a, b in ((g, h), (complement(g), complement(h))):
+        assert canonical_form(a) == canonical_form(b)
+        assert isomorphic(a, b)
 
 
 def test_canonical_form_distinguishes_degree_sequences():
