@@ -11,41 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .analysis import analyze, fitting_bounds, sigma_partition_bound
 from .errors import FormatError, LimitExceeded
-from .formats import (
-    emit_arc_list,
-    emit_edge_list,
-    emit_graph6,
-    parse_arc_list,
-    parse_graph_auto,
-)
-from .graphs import LabeledGraph, canonical_form, cycle_graph
-from .minimality import (
-    check_minimal_lemmas,
-    enumerate_minimal,
-    is_minimal,
-    linked_vertex_duplication,
-    canonical_orientation,
-)
-from .model import GroupModel, round_trip_report
-from .realizability import (
-    classify_girth,
-    exceptional_forests,
-    is_solvable_prime_graph,
-    validate_frobenius_orientation,
-)
-from .synthesis import (
-    CONGRUENCE_GLOBAL,
-    CONGRUENCE_PER_ARC,
-    DEFAULT_PRIME_CAP,
-    estimate_order,
-    plan_from_json_dict,
-    plan_to_json_dict,
-    synthesize,
-    validate_plan,
-)
+
+# Each verb imports the library modules it calls, so that a process
+# running one verb compiles and loads only those.
+if TYPE_CHECKING:
+    from .graphs import LabeledGraph
+    from .model import GroupModel
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -63,11 +37,23 @@ def _prime_cap(text: str) -> int:
     return cap
 
 
+def _label(text: str) -> str:
+    if not text or "#" in text or any(c.isspace() for c in text):
+        raise argparse.ArgumentTypeError(
+            f"must be non-empty, without whitespace or '#', got {text!r}"
+        )
+    return text
+
+
 def _read(path: str) -> str:
+    """Text of the file at path, or of stdin for ``-``, decoded alike:
+    strict UTF-8 with line ends kept, so byte offsets in errors are exact."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return data.decode("utf-8")
 
 
 def _emit_json(doc: dict) -> None:
@@ -75,6 +61,9 @@ def _emit_json(doc: dict) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .formats import parse_graph_auto
+    from .realizability import is_solvable_prime_graph
+
     g = parse_graph_auto(_read(args.graph))
     verdict = is_solvable_prime_graph(g)
     _emit_json(verdict.to_json_dict())
@@ -82,6 +71,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_orient(args) -> int:
+    from .formats import emit_arc_list, parse_graph_auto
+    from .minimality import canonical_orientation
+    from .realizability import is_solvable_prime_graph
+
     g = parse_graph_auto(_read(args.graph))
     verdict = is_solvable_prime_graph(g)
     if not verdict.realizable:
@@ -92,6 +85,9 @@ def _cmd_orient(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .formats import parse_arc_list
+    from .realizability import validate_frobenius_orientation
+
     o = parse_arc_list(_read(args.arcs))
     violations = validate_frobenius_orientation(o)
     _emit_json(
@@ -106,6 +102,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify_girth(args) -> int:
+    from .formats import parse_graph_auto
+    from .realizability import classify_girth
+
     g = parse_graph_auto(_read(args.graph))
     result = classify_girth(g)
     _emit_json(
@@ -119,6 +118,9 @@ def _cmd_classify_girth(args) -> int:
 
 
 def _cmd_exceptions(_args) -> int:
+    from .graphs import canonical_form, cycle_graph
+    from .realizability import exceptional_forests
+
     for forest in exceptional_forests():
         sys.stdout.write(canonical_form(forest).decode("ascii") + "\n")
     for cycle in (cycle_graph("abcd"), cycle_graph("abcde")):
@@ -127,6 +129,9 @@ def _cmd_exceptions(_args) -> int:
 
 
 def _cmd_minimal_check(args) -> int:
+    from .formats import parse_graph_auto
+    from .minimality import check_minimal_lemmas, is_minimal
+
     g = parse_graph_auto(_read(args.graph))
     report = is_minimal(g)
     doc = report.to_json_dict()
@@ -144,6 +149,8 @@ def _cmd_minimal_check(args) -> int:
 
 
 def _fitting_doc(g: LabeledGraph) -> dict:
+    from .analysis import fitting_bounds
+
     bounds = fitting_bounds(g)
     return {
         "low": bounds.low,
@@ -154,6 +161,9 @@ def _fitting_doc(g: LabeledGraph) -> dict:
 
 
 def _cmd_minimal_duplicate(args) -> int:
+    from .formats import emit_edge_list, parse_graph_auto
+    from .minimality import linked_vertex_duplication
+
     g = parse_graph_auto(_read(args.graph))
     result = linked_vertex_duplication(g, args.vertex, args.label)
     print(emit_edge_list(result), end="")
@@ -161,12 +171,18 @@ def _cmd_minimal_duplicate(args) -> int:
 
 
 def _cmd_minimal_enumerate(args) -> int:
+    from .formats import emit_graph6
+    from .minimality import enumerate_minimal
+
     for g in enumerate_minimal(args.n):
         sys.stdout.write(emit_graph6(g).decode("ascii") + "\n")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import analyze, sigma_partition_bound
+    from .formats import parse_arc_list
+
     o = parse_arc_list(_read(args.arcs))
     a = analyze(o)
     doc = a.to_json_dict()
@@ -181,6 +197,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from .formats import parse_arc_list
+    from .synthesis import estimate_order, plan_to_json_dict, synthesize
+
     o = parse_arc_list(_read(args.arcs))
     plan = synthesize(o, congruence=args.congruence, prime_cap=args.prime_cap)
     doc = plan_to_json_dict(plan)
@@ -190,11 +209,15 @@ def _cmd_synthesize(args) -> int:
 
 
 def _load_plan(path: str):
+    from .synthesis import plan_from_json_dict
+
     return plan_from_json_dict(json.loads(_read(path)))
 
 
 def _report_problems(plan) -> list[str]:
     """validate_plan's problems, each printed on stderr."""
+    from .synthesis import validate_plan
+
     problems = validate_plan(plan)
     for problem in problems:
         print(f"invalid plan: {problem}", file=sys.stderr)
@@ -204,11 +227,15 @@ def _report_problems(plan) -> list[str]:
 def _load_model(path: str) -> GroupModel | None:
     """Model of a plan that passes validate_plan; None, with the problems
     on stderr, when it does not."""
+    from .model import GroupModel
+
     plan = _load_plan(path)
     return None if _report_problems(plan) else GroupModel(plan)
 
 
 def _cmd_prime_graph(args) -> int:
+    from .formats import emit_edge_list
+
     if (model := _load_model(args.plan)) is None:
         return EXIT_NEGATIVE
     print(emit_edge_list(model.compute_prime_graph()), end="")
@@ -216,6 +243,8 @@ def _cmd_prime_graph(args) -> int:
 
 
 def _cmd_digraph(args) -> int:
+    from .formats import emit_arc_list
+
     if (model := _load_model(args.plan)) is None:
         return EXIT_NEGATIVE
     print(emit_arc_list(model.compute_frobenius_digraph()), end="")
@@ -223,6 +252,8 @@ def _cmd_digraph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .model import round_trip_report
+
     plan = _load_plan(args.plan)
     report = round_trip_report(plan)
     if not report["plan_valid"]:
@@ -250,6 +281,8 @@ def _cmd_sigma(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC, DEFAULT_PRIME_CAP
+
     parser = argparse.ArgumentParser(
         prog="solvgraph",
         description="Prime graphs of finite solvable groups: checks, certificates, models.",
@@ -284,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = minimal_sub.add_parser("duplicate", help="linked vertex duplication")
     p.add_argument("graph")
     p.add_argument("vertex")
-    p.add_argument("--label", default=None)
+    p.add_argument("--label", type=_label, default=None)
     p.set_defaults(func=_cmd_minimal_duplicate)
     p = minimal_sub.add_parser("enumerate", help="all minimal graphs on n vertices")
     p.add_argument("n", type=int)

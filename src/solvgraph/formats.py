@@ -30,6 +30,12 @@ __all__ = [
     "parse_graph_auto",
 ]
 
+# The values of synthesize's options, kept here so that the command-line
+# parser can offer them without loading synthesis and the modules below it.
+CONGRUENCE_GLOBAL = "global"
+CONGRUENCE_PER_ARC = "per-arc"
+DEFAULT_PRIME_CAP = 10**6
+
 
 def _meaningful_lines(text: str):
     """Yield (offset, stripped line) skipping blanks and # comments."""

@@ -44,7 +44,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_prime(modulus: int, residue: int, used: set[int], cap: int = 10**6) -> int:
+def smallest_prime(modulus: int, residue: int, used: set[int], cap: int) -> int:
     """Smallest prime p <= cap with p % modulus == residue and p not in used.
 
     ``modulus=1`` (with ``residue=0``) degenerates to "smallest unused

@@ -29,15 +29,11 @@ from dataclasses import dataclass
 
 from . import modmat
 from .analysis import DigraphAnalysis, analyze
+from .formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC, DEFAULT_PRIME_CAP
 from .graphs import Orientation, directed_neighborhood, orientation_from_arcs
 from .primes import elements_of_order, is_prime, smallest_prime
 
 PLAN_SCHEMA = "solvgraph.plan/1"
-
-CONGRUENCE_GLOBAL = "global"
-CONGRUENCE_PER_ARC = "per-arc"
-
-DEFAULT_PRIME_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -99,10 +99,20 @@ def test_minimal_check_verb(tmp_path, capsys):
 
 
 def test_minimal_duplicate_verb(tmp_path, capsys):
-    code = run(["minimal", "duplicate", _write(tmp_path, "g.txt", C5_EDGES), "a", "--label", "f"])
+    path = _write(tmp_path, "g.txt", C5_EDGES)
+    code = run(["minimal", "duplicate", path, "a", "--label", "f"])
     out = capsys.readouterr().out
     assert code == 0
     assert "f" in out.splitlines()[0]
+    from solvgraph import linked_vertex_duplication, parse_edge_list, parse_graph_auto
+
+    assert parse_graph_auto(out) == linked_vertex_duplication(parse_edge_list(C5_EDGES), "a", "f")
+
+    # edge-list text could not carry these labels back
+    for label in ("", "x y", "#x"):
+        assert run(["minimal", "duplicate", path, "a", "--label", label]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--label: must be non-empty, without whitespace or '#'" in err
 
 
 def test_minimal_enumerate_verb(capsys):
@@ -156,12 +166,17 @@ def test_synthesize_and_model_verbs(tmp_path, capsys):
 
 
 def test_synthesize_per_arc_flag(tmp_path, capsys):
-    code = run(
-        ["synthesize", _write(tmp_path, "o.txt", PENTAGON_ARCS), "--congruence", "per-arc"]
-    )
+    path = _write(tmp_path, "o.txt", PENTAGON_ARCS)
+    code = run(["synthesize", path, "--congruence", "per-arc"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["primes"]["p3"] == "5"
+
+    assert run(["synthesize", "--help"]) == 0
+    assert "--congruence {global,per-arc}" in capsys.readouterr().out
+    assert run(["synthesize", path, "--congruence", "bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'bogus'" in err
 
 
 def test_prime_cap_below_2_is_usage_error(tmp_path, capsys):
@@ -312,17 +327,57 @@ def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
     refused(doc, "orientation fails validation")
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        input=stdin,
         capture_output=True,
     )
 
 
 def test_cli_import_leaves_numpy_out():
-    done = _python("-c", "import sys, solvgraph.cli; print('numpy' in sys.modules)")
-    assert done.stdout.strip() == b"False"
+    """Importing the CLI loads no library module, each verb only the
+    modules it runs, and nothing loads numpy."""
+    data = ROOT / "perfbench" / "data"
+    heavy = {f"solvgraph.{m}" for m in ("analysis", "minimality", "synthesis", "model", "modmat", "primes")}
+
+    def loaded_after(code: str) -> set[str]:
+        report = "import json, sys; print(json.dumps([m for m in sys.modules if m.startswith(('solvgraph', 'numpy'))]))"
+        done = _python("-c", f"{code}\n{report}")
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    def loaded_by_verb(*argv: str) -> set[str]:
+        return loaded_after(f"from solvgraph.cli import run; run({list(argv)!r})")
+
+    assert loaded_after("import solvgraph.cli") == {"solvgraph", "solvgraph.errors", "solvgraph.cli"}
+    check = loaded_by_verb("check", str(data / "c5.txt"))
+    assert "solvgraph.realizability" in check and not check & heavy
+    verify = loaded_by_verb("verify", str(data / "pentagon.plan.json"))
+    assert "solvgraph.model" in verify and "solvgraph.minimality" not in verify
+    assert "numpy" not in check | verify
+
+
+def test_stdin_is_decoded_like_files(tmp_path):
+    c5 = ROOT / "perfbench" / "data" / "c5.txt"
+    done = _python("-m", "solvgraph.cli", "check", "-", stdin=c5.read_bytes())
+    assert done.returncode == 0
+    assert done.stdout == (ROOT / "perfbench" / "golden" / "check.out").read_bytes()
+
+    def same_error(data: bytes) -> bytes:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        piped = _python("-m", "solvgraph.cli", "check", "-", stdin=data)
+        from_file = _python("-m", "solvgraph.cli", "check", str(path))
+        assert piped.returncode == from_file.returncode == 2
+        assert piped.stderr == from_file.stderr
+        return piped.stderr
+
+    for data in (b"\xff\xfe a b\n", b"\xff\xfe\n"):
+        assert same_error(data).startswith(b"error: 'utf-8' codec can't decode byte 0xff")
+    # line ends are kept, so the offset counts both bytes of each CRLF
+    assert same_error(b"a b\r\nb c\r\nc\r\n") == b"error: expected 'u v', got 'c' (byte offset 10)\n"
 
 
 def test_module_entry_point_runs_the_cli():
