@@ -79,6 +79,26 @@ class GroupModel:
             else:
                 factors.append(_ModuleFactor(v, plan.prime_of[v], 1, {}))
         self.modules: tuple[_ModuleFactor, ...] = tuple(factors)
+        # Per K factor, the (source index, exponent) pairs that twist it:
+        # empty for sources and for doubles no source acts on.
+        sources = {v: i for i, (v, _, role) in enumerate(self.k_factors) if role == "O"}
+        self._twists = tuple(
+            tuple((sources[u], e) for (u, t), e in self.k_exponents.items() if t == v and u in sources)
+            if role == "D"
+            else ()
+            for v, _, role in self.k_factors
+        )
+        # Per module, its actors as (K index, matrix): doubles first, then
+        # sources, each in vertex order; the order rho multiplies them in.
+        self._actors = tuple(
+            tuple(
+                (i, f.action[v])
+                for role_wanted in ("D", "O")
+                for i, (v, _, role) in enumerate(self.k_factors)
+                if role == role_wanted and v in f.action
+            )
+            for f in self.modules
+        )
 
     # -- element plumbing --------------------------------------------------
 
@@ -123,28 +143,15 @@ class GroupModel:
 
     # -- K arithmetic --------------------------------------------------------
 
-    def _twist(self, t_exponents: dict[str, int], q_vertex: str, q: int) -> int:
-        e = 1
-        for (p_vertex, target), exponent in self.k_exponents.items():
-            if target != q_vertex:
-                continue
-            power = t_exponents.get(p_vertex, 0)
-            if power:
-                e = e * pow(exponent, power, q) % q
-        return e
-
     def k_multiply(self, k1: tuple[int, ...], k2: tuple[int, ...]) -> tuple[int, ...]:
-        t1 = {
-            v: k1[i]
-            for i, (v, _, role) in enumerate(self.k_factors)
-            if role == "O" and k1[i]
-        }
+        """k1 k2: a double coordinate of k2 is raised by the exponent
+        action of each source coordinate of k1 before it is added."""
         out = []
-        for i, (v, p, role) in enumerate(self.k_factors):
-            if role == "O":
-                out.append((k1[i] + k2[i]) % p)
-            else:
-                out.append((k1[i] + k2[i] * self._twist(t1, v, p)) % p)
+        for (_, p, _), twists, x, y in zip(self.k_factors, self._twists, k1, k2):
+            for i, e in twists:
+                if k1[i]:
+                    y = y * pow(e, k1[i], p) % p
+            out.append((x + y) % p)
         return tuple(out)
 
     def k_power(self, k: tuple[int, ...], e: int) -> tuple[int, ...]:
@@ -177,25 +184,31 @@ class GroupModel:
         matrix multiplies in the same order; coordinates without a stored
         action act trivially.
         """
-        f = self.modules[j]
-        mat = modmat.identity(f.dim)
-        for role_wanted in ("D", "O"):
-            for i, (v, _, role) in enumerate(self.k_factors):
-                if role == role_wanted and k[i] and v in f.action:
-                    mat = modmat.multiply(
-                        mat, modmat.power(f.action[v], k[i], f.prime), f.prime
-                    )
-        return mat
+        r = self.modules[j].prime
+        mat = None
+        for i, action in self._actors[j]:
+            if k[i]:
+                step = modmat.power(action, k[i], r)
+                mat = step if mat is None else modmat.multiply(mat, step, r)
+        return mat if mat is not None else modmat.identity(self.modules[j].dim)
 
     # -- group arithmetic -------------------------------------------------------
 
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        if len(x.k) != len(self.k_factors) or len(y.k) != len(self.k_factors):
+    def _check_shape(self, x: GroupElement) -> None:
+        """ValueError unless x has one K coordinate per top-level factor and
+        one vector of the module's dimension per module."""
+        if (
+            len(x.k) != len(self.k_factors)
+            or len(x.mods) != len(self.modules)
+            or any(len(vec) != f.dim for vec, f in zip(x.mods, self.modules))
+        ):
             raise ValueError("element shape does not match the model")
+
+    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
+        self._check_shape(x)
+        self._check_shape(y)
         mods = []
         for j, f in enumerate(self.modules):
-            if len(x.mods[j]) != f.dim or len(y.mods[j]) != f.dim:
-                raise ValueError("element shape does not match the model")
             moved = modmat.apply(self.rho(j, x.k), y.mods[j], f.prime)
             mods.append(tuple((a + b) % f.prime for a, b in zip(x.mods[j], moved)))
         return GroupElement(self.k_multiply(x.k, y.k), tuple(mods))
@@ -205,6 +218,7 @@ class GroupModel:
         return self.power(x, n - 1)
 
     def power(self, x: GroupElement, e: int) -> GroupElement:
+        self._check_shape(x)
         result = self.identity()
         base = x
         while e > 0:
@@ -222,6 +236,7 @@ class GroupModel:
         (I + M + ... + M**(n-1)) applied to that coordinate is nonzero,
         M being the action of the K part.
         """
+        self._check_shape(x)
         n_k = self.k_order(x.k)
         total = n_k
         for j, f in enumerate(self.modules):
@@ -233,6 +248,7 @@ class GroupModel:
 
     def iterative_order(self, x: GroupElement, limit: int | None = None) -> int:
         """Order by repeated multiplication; the slow cross-check for order()."""
+        self._check_shape(x)
         if limit is None:
             limit = self.group_order()
         identity = self.identity()

@@ -14,6 +14,7 @@ identity; the closed forms below rest on that.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -55,7 +56,7 @@ def multiply(a: Monomial, b: Monomial, r: int) -> Monomial:
     """The product a @ b."""
     pa, sa = a
     pb, sb = b
-    return tuple(pa[i] for i in pb), tuple(sb[j] * sa[i] % r for j, i in enumerate(pb))
+    return tuple([pa[i] for i in pb]), tuple([sb[j] * sa[i] % r for j, i in enumerate(pb)])
 
 
 def commute(a: Monomial, b: Monomial, r: int) -> bool:
@@ -71,24 +72,45 @@ def apply(a: Monomial, v, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cycles(a: Monomial, r: int, turns: int = 1):
-    """Yield (cycle, prefix) per cycle of the permutation: the cycle listed
-    along j -> perm[j], and prefix[t] the product of the scales met in the
-    first t steps along it, for t up to ``turns`` times its length."""
-    perm, scale = a
+@lru_cache(maxsize=256)
+def _cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a permutation, each listed along j -> perm[j] from its
+    least index.  Memoized: the module actions repeat a few permutations."""
     seen = [False] * len(perm)
+    cycles = []
     for start in range(len(perm)):
         if seen[start]:
             continue
         cycle = [start]
         seen[start] = True
-        while not seen[perm[cycle[-1]]]:
-            cycle.append(perm[cycle[-1]])
-            seen[cycle[-1]] = True
-        prefix = [1]
-        for t in range(len(cycle) * turns):
-            prefix.append(prefix[-1] * scale[cycle[t % len(cycle)]] % r)
-        yield cycle, prefix
+        j = perm[start]
+        while not seen[j]:
+            cycle.append(j)
+            seen[j] = True
+            j = perm[j]
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def _product(scale, cycle, r: int) -> int:
+    """The product c of the scales along a cycle."""
+    c = 1
+    for j in cycle:
+        c = c * scale[j] % r
+    return c
+
+
+def _partial_products(scale, cycle, r: int) -> tuple[list[int], list[int]]:
+    """Prefix products P and suffix products S of the scales along a cycle:
+    P[i] of the first i, S[i] of those from position i on, so that
+    P[i] S[i] is their full product c."""
+    prefix = [1]
+    for j in cycle:
+        prefix.append(prefix[-1] * scale[j] % r)
+    suffix = [1] * len(prefix)
+    for i in range(len(cycle) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * scale[cycle[i]] % r
+    return prefix, suffix
 
 
 def _geometric(c: int, q: int, r: int) -> int:
@@ -101,17 +123,49 @@ def _geometric(c: int, q: int, r: int) -> int:
 def power(a: Monomial, e: int, r: int) -> Monomial:
     """a**e for e >= 0: with e = qL + s on a cycle of length L and scale
     product c, each entry moves s steps on, scaled by c**q times the s
-    scales it passes."""
-    perm = [0] * len(a[0])
-    scale = [0] * len(a[0])
-    for cycle, prefix in _cycles(a, r, 2):
+    scales it passes.
+
+    With prefix products P and suffix products S along the cycle
+    (P[i] S[i] = c), the s scales from position i multiply to
+    S[i] P[i+s] / c when the window ends by position L, and to
+    S[i] P[i+s-L] when it wraps; so one inverse per cycle suffices.
+    """
+    perm, scale = a
+    out_perm = [0] * len(perm)
+    out_scale = [0] * len(perm)
+    for cycle in _cycles(perm):
         length = len(cycle)
         q, s = divmod(e, length)
-        turns = pow(prefix[length], q, r)
+        if not s:  # c**q times the identity on this cycle; every fixed point
+            turns = pow(_product(scale, cycle, r), q, r)
+            for j in cycle:
+                out_perm[j] = j
+                out_scale[j] = turns
+            continue
+        prefix, suffix = _partial_products(scale, cycle, r)
+        c = prefix[length]
+        turns = pow(c, q, r)
+        unwrapped = turns * pow(c, -1, r) % r
         for i, j in enumerate(cycle):
-            perm[j] = cycle[(i + s) % length]
-            scale[j] = turns * prefix[i + s] * pow(prefix[i], -1, r) % r if s else turns
-    return tuple(perm), tuple(scale)
+            end = i + s
+            if end < length:
+                out_perm[j] = cycle[end]
+                out_scale[j] = unwrapped * suffix[i] * prefix[end] % r
+            else:
+                out_perm[j] = cycle[end - length]
+                out_scale[j] = turns * suffix[i] * prefix[end - length] % r
+    return tuple(out_perm), tuple(out_scale)
+
+
+def power_is_identity(a: Monomial, e: int, r: int) -> bool:
+    """True iff a**e is the identity: every cycle length L divides e and
+    the cycle's scale product c has c**(e/L) = 1."""
+    perm, scale = a
+    for cycle in _cycles(perm):
+        q, s = divmod(e, len(cycle))
+        if s or pow(_product(scale, cycle, r), q, r) != 1:
+            return False
+    return True
 
 
 def has_fixed_vector(a: Monomial, r: int, exponents=(1,)) -> bool:
@@ -121,7 +175,8 @@ def has_fixed_vector(a: Monomial, r: int, exponents=(1,)) -> bool:
     cycles of a**e, each with scale product c**(e / gcd(e, L)); a fixed
     vector exists exactly when one of those products is 1.
     """
-    kinds = {(len(cycle), prefix[-1]) for cycle, prefix in _cycles(a, r)}
+    perm, scale = a
+    kinds = {(len(cycle), _product(scale, cycle, r)) for cycle in _cycles(perm)}
     return any(pow(c, e // gcd(e, length), r) == 1 for length, c in kinds for e in exponents)
 
 
@@ -133,9 +188,10 @@ def transfer_is_zero(a: Monomial, n: int, r: int) -> bool:
     at the others.  These differ by c**q != 0, so the block vanishes
     exactly when s = 0 and the second sum is 0 mod r.
     """
-    for cycle, prefix in _cycles(a, r):
+    perm, scale = a
+    for cycle in _cycles(perm):
         q, s = divmod(n, len(cycle))
-        if s or _geometric(prefix[-1], q, r):
+        if s or _geometric(_product(scale, cycle, r), q, r):
             return False
     return True
 
@@ -148,14 +204,18 @@ def transfer_apply(a: Monomial, n: int, v, r: int) -> tuple[int, ...]:
     w powers.  Component m of W_w v gathers v from the w cycle positions
     up to m, each carried forward to m.  Dividing position i by the prefix
     product P[i] makes each gather a window sum of one list, in which a
-    window that wraps past position 0 picks up a factor c.
+    window that wraps past position 0 picks up a factor c.  The suffix
+    products S give 1 / P[i] = S[i] / c, one inverse per cycle.
     """
-    out = [0] * len(a[0])
-    for cycle, prefix in _cycles(a, r):
+    perm, scale = a
+    out = [0] * len(perm)
+    for cycle in _cycles(perm):
         length = len(cycle)
         q, s = divmod(n, length)
+        prefix, suffix = _partial_products(scale, cycle, r)
         c = prefix[length]
-        carried = [v[j] * pow(prefix[i], -1, r) % r for i, j in enumerate(cycle)]
+        inverse = pow(c, -1, r)
+        carried = [v[j] * suffix[i] * inverse % r for i, j in enumerate(cycle)]
         sums = [0]  # running totals of (c * carried) followed by carried
         for x in [c * x for x in carried] + carried:
             sums.append((sums[-1] + x) % r)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import modmat
 from .analysis import DigraphAnalysis, analyze
 from .formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC, DEFAULT_PRIME_CAP
-from .graphs import Orientation, directed_neighborhood, orientation_from_arcs
+from .graphs import Orientation, orientation_from_arcs, ring
 from .primes import elements_of_order, is_prime, smallest_prime
 
 PLAN_SCHEMA = "solvgraph.plan/1"
@@ -65,14 +65,16 @@ def phi_sets(o: Orientation, v: str) -> tuple[frozenset[str], frozenset[str]]:
     Disjoint whenever the underlying graph is triangle-free, since the
     two distances cannot coincide.
     """
-    if v not in o.vertices:
+    return _phi_sets(o.in_neighbors(), v)
+
+
+def _phi_sets(into: dict[str, set[str]], v: str) -> tuple[frozenset[str], frozenset[str]]:
+    """phi_sets of v, read off the in-neighbour map of its orientation."""
+    if v not in into:
         raise ValueError(f"unknown vertex {v!r}")
-    if o.out_neighbors()[v]:
+    if any(v in sources for sources in into.values()):
         raise ValueError(f"vertex {v!r} has outgoing arcs; phi sets need a sink")
-    return (
-        directed_neighborhood(o, v, 1, "in"),
-        directed_neighborhood(o, v, 2, "in"),
-    )
+    return ring(into, v, 1), ring(into, v, 2)
 
 
 def select_primes(
@@ -120,9 +122,8 @@ def select_primes(
             assigned[v] = take(modulus)
     for v in o.vertices:
         if v in a.i_set:
-            phi1, _ = phi_sets(o, v)
             modulus = 1
-            for u in phi1:
+            for u in into[v]:  # the 1-in-neighborhood
                 modulus *= assigned[u]
             assigned[v] = take(modulus)
     return assigned
@@ -247,7 +248,7 @@ def verify_module(
         p_w = plan.prime_of[w]
         if mat == identity:
             problems.append(f"matrix for {w!r} is the identity")
-        elif modmat.power(mat, p_w, r) != identity:
+        elif not modmat.power_is_identity(mat, p_w, r):
             problems.append(f"matrix for {w!r} does not have order {p_w}")
     phi1_list = sorted(phi1)
     for i, w in enumerate(phi1_list):
@@ -285,12 +286,13 @@ def verify_module(
         for u in t_actors[i + 1 :]:
             if not modmat.commute(mats[w], mats[u], r):
                 problems.append(f"module {v!r}: matrices of {w!r} and {u!r} must commute")
+    # s w s**-1 = w**e, checked as s w = w**e s: s is invertible, its
+    # order was checked above.
     for s in t_actors:
-        inverse = modmat.power(mats[s], plan.prime_of[s] - 1, r)  # its order was checked above
         for w in u_actors:
             e = plan.k_actions.get((s, w), 1)
-            conjugated = modmat.multiply(modmat.multiply(mats[s], mats[w], r), inverse, r)
-            if conjugated != modmat.power(mats[w], e, r):
+            twisted = modmat.multiply(modmat.power(mats[w], e, r), mats[s], r)
+            if modmat.multiply(mats[s], mats[w], r) != twisted:
                 problems.append(
                     f"module {v!r}: conjugation by {s!r} disagrees with the "
                     f"exponent action on {w!r}"
@@ -405,7 +407,7 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
         if not is_prime(spec.characteristic):
             problems.append(f"module characteristic {spec.characteristic} for {v!r} is not prime")
             continue
-        phi1, phi2 = phi_sets(o, v)
+        phi1, phi2 = _phi_sets(into, v)
         m = 1
         for w in phi1:
             m *= plan.prime_of[w]

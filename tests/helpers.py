@@ -9,6 +9,9 @@ are the second route in every dual check.
 reference_color_search and reference_lex_least_coloring are the library's
 earlier plain backtracking searches, kept unchanged: the current searches
 must reproduce their colorings (and node counts) exactly.
+reference_k_multiply and reference_rho are likewise the group model's
+earlier K product and module action, which read the plan's maps on every
+call; the table-driven versions must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from solvgraph import (
     synthesize,
 )
 from solvgraph.model import GroupModel
+from solvgraph import modmat
 from solvgraph.modmat import to_rows
 
 
@@ -555,6 +559,47 @@ def dense_rho(model: GroupModel, j: int, k: tuple[int, ...]) -> list[list[int]]:
         for i, (v, _, role) in enumerate(model.k_factors):
             if role == role_wanted and v in rows:
                 mat = dense_mul(mat, dense_pow(to_rows(rows[v]), k[i], f.prime), f.prime)
+    return mat
+
+
+# -- earlier group-model arithmetic ---------------------------------------------
+
+
+def reference_twist(model: GroupModel, t_exponents: dict[str, int], q_vertex: str, q: int) -> int:
+    e = 1
+    for (p_vertex, target), exponent in model.k_exponents.items():
+        if target != q_vertex:
+            continue
+        power = t_exponents.get(p_vertex, 0)
+        if power:
+            e = e * pow(exponent, power, q) % q
+    return e
+
+
+def reference_k_multiply(model: GroupModel, k1: tuple[int, ...], k2: tuple[int, ...]) -> tuple[int, ...]:
+    t1 = {
+        v: k1[i]
+        for i, (v, _, role) in enumerate(model.k_factors)
+        if role == "O" and k1[i]
+    }
+    out = []
+    for i, (v, p, role) in enumerate(model.k_factors):
+        if role == "O":
+            out.append((k1[i] + k2[i]) % p)
+        else:
+            out.append((k1[i] + k2[i] * reference_twist(model, t1, v, p)) % p)
+    return tuple(out)
+
+
+def reference_rho(model: GroupModel, j: int, k: tuple[int, ...]) -> modmat.Monomial:
+    f = model.modules[j]
+    mat = modmat.identity(f.dim)
+    for role_wanted in ("D", "O"):
+        for i, (v, _, role) in enumerate(model.k_factors):
+            if role == role_wanted and k[i] and v in f.action:
+                mat = modmat.multiply(
+                    mat, modmat.power(f.action[v], k[i], f.prime), f.prime
+                )
     return mat
 
 

@@ -6,8 +6,16 @@ import random
 
 import pytest
 
-from helpers import model_sigma_by_enumeration, orientation_sweep, pentagon_orientation
+from helpers import (
+    model_sigma_by_enumeration,
+    orientation_sweep,
+    pentagon_orientation,
+    reference_k_multiply,
+    reference_rho,
+    sweep_plans,
+)
 from solvgraph import (
+    GroupElement,
     GroupModel,
     LabeledGraph,
     Orientation,
@@ -182,6 +190,22 @@ def test_element_shape_checks():
         m.multiply(m.identity(), other.identity())
     with pytest.raises(ValueError):
         m.element({}, {"p4": (1,)})  # wrong module dimension
+    e = m.identity()
+    malformed = [
+        GroupElement(e.k[:-1], e.mods),  # one K coordinate missing
+        GroupElement(e.k, e.mods[:-1]),  # one module missing
+        GroupElement(e.k, ((1, 1, 1), (1, 1))),  # module vectors too long
+    ]
+    for x in malformed:
+        for call in (
+            lambda: m.multiply(x, e),
+            lambda: m.multiply(e, x),
+            lambda: m.order(x),
+            lambda: m.iterative_order(x),
+            lambda: m.power(x, 2),
+        ):
+            with pytest.raises(ValueError, match="element shape does not match the model"):
+                call()
 
 
 def test_power_agrees_with_repeated_multiplication():
@@ -193,3 +217,16 @@ def test_power_agrees_with_repeated_multiplication():
         for e in range(5):
             assert m.power(x, e) == y
             y = m.multiply(y, x)
+
+
+def test_k_arithmetic_matches_reference():
+    """On every sweep model, the table-driven K product and module action
+    give the same tuples and (perm, scale) matrices as the earlier code."""
+    rng = random.Random(10)
+    for _, plan in sweep_plans(6):
+        m = GroupModel(plan)
+        for _ in range(4):
+            k1, k2 = (tuple(rng.randrange(p) for _, p, _ in m.k_factors) for _ in range(2))
+            assert m.k_multiply(k1, k2) == reference_k_multiply(m, k1, k2)
+            for j in range(len(m.modules)):
+                assert m.rho(j, k1) == reference_rho(m, j, k1)

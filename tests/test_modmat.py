@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     dense_apply,
     dense_identity,
+    dense_mul,
     dense_nullity,
     dense_pow,
     dense_rho,
@@ -69,3 +73,68 @@ def test_monomial_kernels_match_dense_on_sweep_modules():
                     assert modmat.transfer_apply(mono, n, v, f.prime) == dense_apply(transfer, v, f.prime)
                 checked += 1
     assert checked > 500
+
+
+@st.composite
+def monomials(draw, max_dim: int = 12):
+    """(a, b, r): two monomial matrices of one dimension over GF(r), with
+    arbitrary cycle structure and nonzero scales."""
+    r = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+
+    def one():
+        perm = tuple(draw(st.permutations(range(dim))))
+        scale = tuple(draw(st.lists(st.integers(1, r - 1), min_size=dim, max_size=dim)))
+        return perm, scale
+
+    return one(), one(), r
+
+
+def _cycle_lengths(perm) -> set[int]:
+    lengths, seen = set(), set()
+    for start in range(len(perm)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length:
+            lengths.add(length)
+    return lengths
+
+
+@given(monomials(), st.lists(st.integers(1, 40), min_size=1, max_size=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_monomial_kernels_match_dense_on_general_monomials(drawn, exponents, data):
+    """Any monomial matrix, as plan JSON may carry: products, powers below,
+    at, between and above multiples of each cycle length, the closed-form
+    identity test, fixed vectors of several powers and transfer sums
+    agree with dense arithmetic."""
+    a, b, r = drawn
+    dim = len(a[0])
+    dense = [list(row) for row in modmat.to_rows(a)]
+    assert modmat.to_rows(modmat.multiply(a, b, r)) == tuple(
+        map(tuple, dense_mul(dense, modmat.to_rows(b), r))
+    )
+    lengths = _cycle_lengths(a[0])
+    period = lcm(*lengths) * (r - 1)  # a**period is the identity
+    powers = {0, 1, period, period + 1, *exponents}
+    for length in lengths:
+        powers.update((length - 1, length, 2 * length, 2 * length + 1))
+    identity = dense_identity(dim)
+    for e in sorted(powers):
+        raised = dense_pow(dense, e, r)
+        assert modmat.to_rows(modmat.power(a, e, r)) == tuple(map(tuple, raised))
+        assert modmat.power_is_identity(a, e, r) == (raised == identity)
+    assert modmat.has_fixed_vector(a, r, exponents) == any(
+        dense_nullity(
+            [[x - y for x, y in zip(row, one)] for row, one in zip(dense_pow(dense, e, r), identity)], r
+        )
+        > 0
+        for e in exponents
+    )
+    v = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=dim, max_size=dim)))
+    for n in sorted(powers):
+        transfer = dense_transfer(dense, n, r)
+        assert modmat.transfer_is_zero(a, n, r) == (not any(any(row) for row in transfer))
+        assert modmat.transfer_apply(a, n, v, r) == dense_apply(transfer, v, r)

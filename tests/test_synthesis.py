@@ -231,3 +231,51 @@ def test_validate_plan_catches_corruption():
     doc2["modules"]["p4"]["actions"]["p1"] = [[1, 0], [0, 1]]
     broken2 = plan_from_json_dict(doc2)
     assert any("identity" in p for p in validate_plan(broken2))
+
+
+def _corrupted(o, module: str, **actions) -> list[str]:
+    """validate_plan's problems once the module's action rows for the given
+    vertices are replaced in the plan JSON of synthesize(o)."""
+    doc = plan_to_json_dict(synthesize(o))
+    doc["modules"][module]["actions"].update(actions)
+    return validate_plan(plan_from_json_dict(json.loads(json.dumps(doc))))
+
+
+def test_validate_plan_reports_each_module_rejection():
+    """Every verify_module rejection, with its exact message.  On the
+    pentagon plan, module p4 lives over GF(43) in dimension 2: the
+    1-in-neighborhood is p2 (prime 3) and p3 (7), the 2-in-neighborhood
+    p1 (2), which swaps the basis and conjugates p3 to its 6th power.
+    36 has order 3 and 41 order 7 mod 43."""
+    o = pentagon_orientation()
+    assert validate_plan(synthesize(o)) == []
+    assert _corrupted(o, "p4", p2=[[2, 0], [0, 2]], p3=[[1, 0], [0, 1]]) == [
+        "matrix for 'p2' does not have order 3",
+        "matrix for 'p3' is the identity",
+    ]
+    assert _corrupted(o, "p5", p1=[[3]]) == ["matrix for 'p1' does not have order 2"]
+    # diag(36, 21) to the 7th power is diag(36, 1), which fixes e_2
+    assert _corrupted(o, "p4", p2=[[36, 0], [0, 1]], p3=[[1, 0], [0, 21]]) == [
+        "fixed point in the span of the 1-in-neighborhood action"
+    ]
+    assert _corrupted(o, "p4", p1=[[42, 0], [0, 42]]) == [
+        "no fixed space for any power of the matrix of 'p1'"
+    ]
+    assert _corrupted(o, "p4", p2=[[36, 0], [0, 6]]) == [
+        "module 'p4': matrices of 'p1' and 'p2' must commute"
+    ]
+    assert _corrupted(o, "p4", p3=[[41, 0], [0, 41]]) == [
+        "module 'p4': conjugation by 'p1' disagrees with the exponent action on 'p3'"
+    ]
+    doc = plan_to_json_dict(synthesize(o))
+    del doc["modules"]["p4"]["actions"]["p1"]
+    assert validate_plan(plan_from_json_dict(doc)) == [
+        "acting vertices ['p2', 'p3'] do not match the in-neighborhoods"
+    ]
+    # A 1-in-neighborhood with a vertex of prime 2 acts in dimension 3 on
+    # the path a -> v <- c <- b: a transposition of order 2 does not
+    # commute with c's diagonal matrix of distinct entries.
+    path = orientation_from_arcs("abcv", [("a", "v"), ("b", "c"), ("c", "v")])
+    assert _corrupted(path, "v", a=[[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == [
+        "matrices for 'a' and 'c' do not commute"
+    ]
