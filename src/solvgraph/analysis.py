@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import LabeledGraph, Orientation, ring, isomorphic, cycle_graph
+from .graphs import LabeledGraph, Orientation, cycle_graph, isomorphic, labels_at, mask_ring
 from .realizability import validate_frobenius_orientation
 
 
@@ -63,43 +63,40 @@ def analyze(o: Orientation) -> DigraphAnalysis:
     violations = validate_frobenius_orientation(o)
     if violations:
         raise ValueError(f"orientation is not valid: {violations[0].kind}")
-    out = o.out_neighbors()
-    into = o.in_neighbors()
-    o_set, d_set, i_set = set(), set(), set()
-    for v in o.vertices:
-        if not out[v]:
-            i_set.add(v)
-        elif into[v]:
-            d_set.add(v)
-        else:
-            o_set.add(v)
-    pi_set = {v for v in o.vertices if ring(into, v, 2)}
-    assert pi_set <= i_set
-    phi_set = i_set - pi_set
-    o1_of = {
-        v: frozenset(ring(into, v, 1) & o_set) for v in sorted(i_set, key=o.vertices.index)
-    }
-    n2 = {v: ring(into, v, 2) for v in pi_set}
-    if pi_set:
-        o1 = frozenset().union(*(o1_of[p] for p in pi_set))
-        o1_star = frozenset.intersection(*(o1_of[p] for p in pi_set))
-        o2 = frozenset.intersection(*(n2[p] for p in pi_set))
-        o2_star = frozenset().union(*(n2[p] for p in pi_set))
-    else:
-        o1, o2_star = frozenset(), frozenset()
-        o1_star, o2 = frozenset(o_set), frozenset(o_set)
+    vs = o.vertices
+    into = o.in_rows
+    sinks = [i for i, out in enumerate(o.out_rows) if not out]
+    i_mask = sum(1 << i for i in sinks)
+    d_mask = sum(1 << i for i, near in enumerate(into) if near) & ~i_mask
+    o_mask = ((1 << len(vs)) - 1) & ~(i_mask | d_mask)
+    # the 2-in-neighborhood of each vertex of Pi, which lies inside the sinks
+    n2 = {i: far for i in sinks if (far := mask_ring(into, i, 2))}
+    pi_mask = sum(1 << i for i in n2)
+    # 2-in-neighbors are sources (one more arc in would make a 3-path),
+    # so starting the intersections from O changes nothing
+    o1 = o2_star = 0
+    o1_star = o2 = o_mask
+    for i, far in n2.items():
+        o1 |= into[i] & o_mask
+        o1_star &= into[i]
+        o2 &= far
+        o2_star |= far
+
+    def labels(mask: int) -> frozenset[str]:
+        return frozenset(labels_at(vs, mask))
+
     return DigraphAnalysis(
         orientation=o,
-        o_set=frozenset(o_set),
-        d_set=frozenset(d_set),
-        i_set=frozenset(i_set),
-        pi_set=frozenset(pi_set),
-        phi_set=frozenset(phi_set),
-        o1_of=o1_of,
-        o1=o1,
-        o1_star=o1_star,
-        o2=frozenset(o2),
-        o2_star=frozenset(o2_star),
+        o_set=labels(o_mask),
+        d_set=labels(d_mask),
+        i_set=labels(i_mask),
+        pi_set=labels(pi_mask),
+        phi_set=labels(i_mask & ~pi_mask),
+        o1_of={vs[i]: labels(into[i] & o_mask) for i in sinks},
+        o1=labels(o1),
+        o1_star=labels(o1_star),
+        o2=labels(o2),
+        o2_star=labels(o2_star),
     )
 
 

@@ -3,9 +3,11 @@
 One graph type serves both abstract graphs and prime graphs (primes are
 their decimal renderings).  It stores the vertex tuple and one adjacency
 bit row per vertex; every search below runs on those rows, and the edge
-set is derived from them.  Vertex *order* is significant: it fixes edge
-normalization, lexicographic tie-breaking, and serialization, while
-equality and hashing see the graph as (vertex tuple, rows).
+set is derived from them.  An orientation stores its underlying graph and
+one out-mask per vertex; its arcs and in-masks are derived.  Vertex
+*order* is significant: it fixes edge normalization, lexicographic
+tie-breaking, and serialization, while equality and hashing see a graph
+as (vertex tuple, rows) and an orientation as (underlying, out-masks).
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe.
@@ -69,6 +71,13 @@ class LabeledGraph:
     def _index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    def position(self, v: str) -> int:
+        """Position of vertex v; ValueError when v is not a vertex."""
+        i = self._index.get(v)
+        if i is None:
+            raise ValueError(f"unknown vertex {v!r}")
+        return i
+
     def _pair(self, u, v) -> tuple[int, int]:
         """Positions of the endpoints of a new edge, checked."""
         u, v = str(u), str(v)
@@ -92,9 +101,7 @@ class LabeledGraph:
         return {v: {vs[j] for j in _bits(row)} for v, row in zip(vs, self.rows)}
 
     def degree(self, v: str) -> int:
-        if v not in self._index:
-            raise ValueError(f"unknown vertex {v!r}")
-        return self.rows[self._index[v]].bit_count()
+        return self.rows[self.position(v)].bit_count()
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         vs = self.vertices
@@ -115,51 +122,65 @@ def _bits(mask: int):
 
 @dataclass(frozen=True, init=False)
 class Orientation:
-    """A choice of direction for every edge of an underlying simple graph."""
+    """A direction for every edge of an underlying simple graph, stored as
+    out-masks: ``out_rows[i]`` is the bit mask of the out-neighbours of
+    ``vertices[i]``.  ``arcs`` and the in-masks ``in_rows`` are derived.
+    """
 
     underlying: LabeledGraph
-    arcs: frozenset[tuple[str, str]]
+    out_rows: tuple[int, ...]
 
     def __init__(self, underlying: LabeledGraph, arcs):
-        arcs = frozenset((str(u), str(v)) for u, v in arcs)
-        seen = set()
+        index = underlying._index
+        out = [0] * underlying.n
         for u, v in arcs:
+            u, v = str(u), str(v)
             if not underlying.has_edge(u, v):
                 raise ValueError(f"arc ({u!r}, {v!r}) is not an underlying edge")
-            key = frozenset((u, v))
-            if key in seen:
+            i, j = index[u], index[v]
+            if out[j] >> i & 1:
                 raise ValueError(f"edge {{{u!r}, {v!r}}} oriented twice")
-            seen.add(key)
-        if len(arcs) != len(underlying.edges):
+            out[i] |= 1 << j
+        if sum(row.bit_count() for row in out) != len(underlying.edges):
             raise ValueError("arcs must cover every underlying edge exactly once")
         object.__setattr__(self, "underlying", underlying)
-        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "out_rows", tuple(out))
+
+    @classmethod
+    def from_out_rows(cls, underlying: LabeledGraph, rows) -> Orientation:
+        """Orientation on out-masks the library built itself; nothing is checked."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "underlying", underlying)
+        object.__setattr__(o, "out_rows", tuple(rows))
+        return o
 
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.underlying.vertices
 
-    def out_neighbors(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.arcs:
-            out[u].add(v)
-        return out
+    @cached_property
+    def in_rows(self) -> tuple[int, ...]:
+        # every underlying edge at a vertex points either out or in
+        return tuple(row & ~out for row, out in zip(self.underlying.rows, self.out_rows))
 
-    def in_neighbors(self) -> dict[str, set[str]]:
-        into: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.arcs:
-            into[v].add(u)
-        return into
+    @cached_property
+    def arcs(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.sorted_arcs())
 
     def sorted_arcs(self) -> list[tuple[str, str]]:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        return sorted(self.arcs, key=lambda a: (pos[a[0]], pos[a[1]]))
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, row in enumerate(self.out_rows) for j in _bits(row)]
 
 
 def orientation_from_arcs(vertices, arcs) -> Orientation:
     """Build an Orientation whose underlying edges are exactly the arc pairs."""
     arcs = list(arcs)
     return Orientation(LabeledGraph(vertices, arcs), arcs)
+
+
+def labels_at(vertices: tuple[str, ...], mask: int) -> list[str]:
+    """The labels at the set bits of mask, in vertex order."""
+    return [vertices[i] for i in _bits(mask)]
 
 
 @dataclass(frozen=True)
@@ -175,9 +196,19 @@ class Coloring:
         return max(self.assignment.values()) + 1 if self.assignment else 0
 
     def is_proper_on(self, g: LabeledGraph) -> bool:
-        if set(self.assignment) != set(g.vertices):
-            return False
-        return all(self.assignment[u] != self.assignment[v] for u, v in g.edges)
+        return self.class_masks(g) is not None
+
+    def class_masks(self, g: LabeledGraph) -> dict[int, int] | None:
+        """Bit mask of g's vertices of each color, or None unless the
+        coloring covers exactly g's vertices and is proper on g."""
+        if self.assignment.keys() != set(g.vertices):
+            return None
+        colors = [self.assignment[v] for v in g.vertices]
+        masks: dict[int, int] = {}
+        for i, c in enumerate(colors):
+            masks[c] = masks.get(c, 0) | 1 << i
+        proper = not any(row & masks[c] for row, c in zip(g.rows, colors))
+        return masks if proper else None
 
 
 # -- constructors --------------------------------------------------------
@@ -425,9 +456,7 @@ def girth(g: LabeledGraph):
 
 def neighborhood(g: LabeledGraph, v: str, k: int) -> frozenset[str]:
     """Vertices at shortest-path distance exactly k from v."""
-    if v not in g.vertices:
-        raise ValueError(f"unknown vertex {v!r}")
-    return ring(g.adjacency(), v, k)
+    return frozenset(labels_at(g.vertices, mask_ring(g.rows, g.position(v), k)))
 
 
 def directed_neighborhood(o: Orientation, v: str, k: int, direction: str) -> frozenset[str]:
@@ -436,51 +465,39 @@ def directed_neighborhood(o: Orientation, v: str, k: int, direction: str) -> fro
     ``direction`` is "in" (vertices u with shortest path u -> ... -> v of
     length k) or "out" (paths v -> ... -> u).
     """
-    if v not in o.vertices:
-        raise ValueError(f"unknown vertex {v!r}")
+    i = o.underlying.position(v)
     if direction not in ("in", "out"):
         raise ValueError('direction must be "in" or "out"')
-    return ring(o.in_neighbors() if direction == "in" else o.out_neighbors(), v, k)
+    rows = o.in_rows if direction == "in" else o.out_rows
+    return frozenset(labels_at(o.vertices, mask_ring(rows, i, k)))
 
 
-def ring(step: dict, v: str, k: int) -> frozenset[str]:
-    """Vertices at distance exactly k from v along ``step``, by BFS.
-
-    ``step`` maps each vertex to its neighbours, e.g. ``g.adjacency()``
-    or ``o.in_neighbors()``; build it once to ask about many vertices.
-    """
+def mask_ring(rows, i: int, k: int) -> int:
+    """Mask of the positions at distance exactly k from position i, each
+    step going from a position j to the bits of ``rows[j]``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    dist = {v: 0}
-    frontier = [v]
-    depth = 0
-    while frontier and depth < k:
-        depth += 1
-        nxt = []
-        for x in frontier:
-            for y in step[x]:
-                if y not in dist:
-                    dist[y] = depth
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(u for u, d in dist.items() if d == k)
+    seen = frontier = 1 << i
+    for _ in range(k):
+        frontier = reach(rows, frontier) & ~seen
+        seen |= frontier
+    return frontier
+
+
+def reach(rows, mask: int) -> int:
+    """Union of ``rows[j]`` over the set bits j of mask: one BFS step."""
+    out = 0
+    for j in _bits(mask):
+        out |= rows[j]
+    return out
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = frontier = 1
+    seen = frontier = 1 if g.n else 0
     while frontier:
-        reach = 0
-        for i in _bits(frontier):
-            reach |= g.rows[i]
-        frontier = reach & ~seen
+        frontier = reach(g.rows, frontier) & ~seen
         seen |= frontier
     return seen == (1 << g.n) - 1
-
-
-def is_forest(g: LabeledGraph) -> bool:
-    return girth(g) == INFINITE_GIRTH
 
 
 # -- graph6 packing (shared with formats) ----------------------------------

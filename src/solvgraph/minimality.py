@@ -23,6 +23,7 @@ from .graphs import (
     color_with_at_most,
     is_connected,
     lex_least_coloring,
+    reach,
     without_edge,
 )
 from .realizability import is_solvable_prime_graph, orient_from_coloring
@@ -72,15 +73,13 @@ def linked_vertex_duplication(
 
     The default fresh label is v with prime marks appended.
     """
-    if v not in g.vertices:
-        raise ValueError(f"unknown vertex {v!r}")
+    i = g.position(v)
     if new_label is None:
         new_label = v + "'"
         while new_label in g.vertices:
             new_label += "'"
     elif new_label in g.vertices:
         raise ValueError(f"label {new_label!r} already in use")
-    i = g.vertices.index(v)
     twin = g.rows[i] | 1 << i
     rows = [row | (twin >> j & 1) << g.n for j, row in enumerate(g.rows)]
     return LabeledGraph.from_rows(g.vertices + (new_label,), rows + [twin])
@@ -116,24 +115,18 @@ def _enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
 
 def contains_induced_c5(g: LabeledGraph) -> tuple[str, ...] | None:
     """First vertex subset (in lexicographic order) inducing a 5-cycle."""
-    if g.n < 5:
-        return None
-    adj = g.adjacency()
-    for subset in combinations(g.vertices, 5):
-        chosen = set(subset)
-        degrees = [len(adj[v] & chosen) for v in subset]
-        if degrees != [2, 2, 2, 2, 2]:
+    rows = g.rows
+    for subset in combinations(range(g.n), 5):
+        chosen = sum(1 << i for i in subset)
+        if any((rows[i] & chosen).bit_count() != 2 for i in subset):
             continue
         # connected 2-regular on 5 vertices is the 5-cycle
-        seen = {subset[0]}
-        stack = [subset[0]]
-        while stack:
-            for w in adj[stack.pop()] & chosen:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == 5:
-            return subset
+        seen = frontier = 1 << subset[0]
+        while frontier:
+            frontier = reach(rows, frontier) & chosen & ~seen
+            seen |= frontier
+        if seen == chosen:
+            return tuple(g.vertices[i] for i in subset)
     return None
 
 

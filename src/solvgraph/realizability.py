@@ -18,6 +18,7 @@ from .graphs import (
     Coloring,
     LabeledGraph,
     Orientation,
+    _bits,
     canonical_form,
     color_search,
     complement,
@@ -25,7 +26,6 @@ from .graphs import (
     enumerate_graphs,
     find_triangle,
     girth,
-    is_forest,
     isomorphic,
 )
 
@@ -47,23 +47,16 @@ class RealizabilityVerdict:
     search_nodes: int
 
     def to_json_dict(self) -> dict:
-        doc: dict = {
+        coloring, violation = self.certificate, self.violation
+        return {
             "schema": "solvgraph.check/1",
             "realizable": self.realizable,
             "search_nodes": self.search_nodes,
+            "coloring": None if coloring is None else dict(sorted(coloring.assignment.items())),
+            "violation": None
+            if violation is None
+            else {"kind": violation.kind, "vertices": list(violation.vertices or ())},
         }
-        doc["coloring"] = (
-            None if self.certificate is None else dict(sorted(self.certificate.assignment.items()))
-        )
-        doc["violation"] = (
-            None
-            if self.violation is None
-            else {
-                "kind": self.violation.kind,
-                "vertices": list(self.violation.vertices or ()),
-            }
-        )
-        return doc
 
 
 def is_solvable_prime_graph(g: LabeledGraph) -> RealizabilityVerdict:
@@ -110,15 +103,12 @@ def orient_from_coloring(f: LabeledGraph, coloring: Coloring) -> Orientation:
     """
     if coloring.num_colors() > 3:
         raise ValueError("coloring uses more than 3 colors")
-    if not coloring.is_proper_on(f):
+    masks = coloring.class_masks(f)
+    if masks is None:
         raise ValueError("coloring is not proper on the graph")
-    arcs = []
-    for u, v in f.edges:
-        if coloring.color_of(u) < coloring.color_of(v):
-            arcs.append((u, v))
-        else:
-            arcs.append((v, u))
-    return Orientation(f, arcs)
+    above = {c: sum(m for d, m in masks.items() if d > c) for c in masks}
+    colors = (coloring.assignment[v] for v in f.vertices)
+    return Orientation.from_out_rows(f, [row & above[c] for row, c in zip(f.rows, colors)])
 
 
 @dataclass(frozen=True)
@@ -134,57 +124,55 @@ def validate_frobenius_orientation(o: Orientation) -> list[OrientationViolation]
     Witnesses are chosen deterministically (least under vertex order) so
     repeated runs report identical violations.
     """
-    violations = []
-    cycle = _least_cycle(o)
-    if cycle is not None:
-        violations.append(OrientationViolation("cycle", cycle))
-    path = _least_directed_3_path(o)
-    if path is not None:
-        violations.append(OrientationViolation("directed-3-path", path))
-    triangle = find_triangle(o.underlying)
-    if triangle is not None:
-        violations.append(OrientationViolation("triangle", triangle))
-    return violations
+    witnesses = (
+        ("cycle", _least_cycle(o)),
+        ("directed-3-path", _least_directed_3_path(o)),
+        ("triangle", find_triangle(o.underlying)),
+    )
+    return [OrientationViolation(kind, w) for kind, w in witnesses if w is not None]
 
 
 def _least_cycle(o: Orientation) -> tuple[str, ...] | None:
-    # shortest directed cycle through the earliest possible vertex,
-    # BFS preferring lower-position successors
-    pos = {v: i for i, v in enumerate(o.vertices)}
-    out = o.out_neighbors()
-    ordered_out = {v: sorted(out[v], key=pos.get) for v in o.vertices}
-    for start in o.vertices:
-        parent: dict[str, str] = {}
+    # Peeling sinks leaves what reaches a cycle, and nothing peeled leads
+    # back into it.  Then the shortest directed cycle through the earliest
+    # possible vertex, by BFS preferring lower-position successors.
+    out = o.out_rows
+    left = (1 << len(out)) - 1
+    while sinks := sum(1 << i for i in _bits(left) if not out[i] & left):
+        left ^= sinks
+    for start in _bits(left):
+        parent = {}
         frontier = [start]
-        seen = {start}
+        seen = 1 << start
         while frontier:
             nxt = []
             for x in frontier:
-                for y in ordered_out[x]:
-                    if y == start:
-                        cycle = [x]
-                        while cycle[-1] != start:
-                            cycle.append(parent[cycle[-1]])
-                        cycle.reverse()
-                        return tuple(cycle)
-                    if y not in seen:
-                        seen.add(y)
-                        parent[y] = x
-                        nxt.append(y)
+                if out[x] >> start & 1:
+                    cycle = [x]
+                    while cycle[-1] != start:
+                        cycle.append(parent[cycle[-1]])
+                    return tuple(o.vertices[i] for i in reversed(cycle))
+                new = out[x] & left & ~seen
+                seen |= new
+                for y in _bits(new):
+                    parent[y] = x
+                    nxt.append(y)
             frontier = nxt
     return None
 
 
 def _least_directed_3_path(o: Orientation) -> tuple[str, ...] | None:
-    pos = {v: i for i, v in enumerate(o.vertices)}
-    out = o.out_neighbors()
-    # paths are visited in lexicographic position order: the first is least
-    for a in o.vertices:
-        for b in sorted(out[a], key=pos.get):
-            for c in sorted(out[b], key=pos.get):
-                for d in sorted(out[c], key=pos.get):
-                    if len({a, b, c, d}) == 4:
-                        return a, b, c, d
+    out = o.out_rows
+    inner = sum(1 << i for i, row in enumerate(out) if row)  # not sinks
+    # paths are visited in lexicographic position order: the first is least;
+    # the vertices are distinct once d != a, as no edge points both ways
+    for a, row in enumerate(out):
+        for b in _bits(row & inner):
+            for c in _bits(out[b] & inner):
+                ends = out[c] & ~(1 << a)
+                if ends:
+                    d = (ends & -ends).bit_length() - 1
+                    return tuple(o.vertices[i] for i in (a, b, c, d))
     return None
 
 
@@ -199,6 +187,7 @@ class GirthClassification:
     kind: str | None = None  # "C4" | "C5" | "forest-1".."forest-7"
 
 
+@lru_cache(maxsize=1)
 def exceptional_forests() -> tuple[LabeledGraph, ...]:
     """The 7 forests without an independent set of size 3, up to isomorphism.
 
@@ -206,29 +195,23 @@ def exceptional_forests() -> tuple[LabeledGraph, ...]:
     on 5 or more vertices has an independent set of size 3), never
     hard-coded.
     """
-    return _exceptional_forests()
-
-
-@lru_cache(maxsize=1)
-def _exceptional_forests() -> tuple[LabeledGraph, ...]:
-    found = []
-    for n in range(1, 5):
-        for g in enumerate_graphs(n):
-            if is_forest(g) and independence_number(g) < 3:
-                found.append(g)
-    found.sort(key=lambda g: (g.n, len(g.edges), canonical_form(g)))
-    return tuple(found)
+    found = [
+        g
+        for n in range(1, 5)
+        for g in enumerate_graphs(n)
+        if girth(g) == INFINITE_GIRTH and independence_number(g) < 3
+    ]
+    return tuple(sorted(found, key=lambda g: (g.n, len(g.edges), canonical_form(g))))
 
 
 def independence_number(g: LabeledGraph) -> int:
     """Brute-force maximum independent set size (small graphs only)."""
-    best = 0
     for size in range(g.n, 0, -1):
-        for subset in combinations(g.vertices, size):
-            chosen = set(subset)
-            if all(not g.has_edge(u, v) for u, v in combinations(chosen, 2)):
+        for subset in combinations(range(g.n), size):
+            chosen = sum(1 << i for i in subset)
+            if not any(g.rows[i] & chosen for i in subset):
                 return size
-    return best
+    return 0
 
 
 def classify_girth(g: LabeledGraph) -> GirthClassification:

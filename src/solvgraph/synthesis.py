@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import modmat
 from .analysis import DigraphAnalysis, analyze
 from .formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC, DEFAULT_PRIME_CAP
-from .graphs import Orientation, orientation_from_arcs, ring
+from .graphs import Orientation, labels_at, mask_ring, orientation_from_arcs
 from .primes import elements_of_order, is_prime, smallest_prime
 
 PLAN_SCHEMA = "solvgraph.plan/1"
@@ -65,16 +65,14 @@ def phi_sets(o: Orientation, v: str) -> tuple[frozenset[str], frozenset[str]]:
     Disjoint whenever the underlying graph is triangle-free, since the
     two distances cannot coincide.
     """
-    return _phi_sets(o.in_neighbors(), v)
-
-
-def _phi_sets(into: dict[str, set[str]], v: str) -> tuple[frozenset[str], frozenset[str]]:
-    """phi_sets of v, read off the in-neighbour map of its orientation."""
-    if v not in into:
-        raise ValueError(f"unknown vertex {v!r}")
-    if any(v in sources for sources in into.values()):
+    i = o.underlying.position(v)
+    if o.out_rows[i]:
         raise ValueError(f"vertex {v!r} has outgoing arcs; phi sets need a sink")
-    return ring(into, v, 1), ring(into, v, 2)
+    into = o.in_rows
+    return (
+        frozenset(labels_at(o.vertices, into[i])),
+        frozenset(labels_at(o.vertices, mask_ring(into, i, 2))),
+    )
 
 
 def select_primes(
@@ -95,7 +93,6 @@ def select_primes(
     if congruence not in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
         raise ValueError(f"unknown congruence mode {congruence!r}")
     a = analysis if analysis is not None else analyze(o)
-    into = o.in_neighbors()
     assigned: dict[str, int] = {}
     used: set[int] = set()
 
@@ -111,21 +108,19 @@ def select_primes(
     for v in o.vertices:
         if v in a.o_set:
             o_product *= assigned[v]
-    for v in o.vertices:
+
+    def in_product(i: int) -> int:
+        modulus = 1
+        for u in labels_at(o.vertices, o.in_rows[i]):
+            modulus *= assigned[u]
+        return modulus
+
+    for i, v in enumerate(o.vertices):
         if v in a.d_set:
-            if congruence == CONGRUENCE_GLOBAL:
-                modulus = o_product
-            else:
-                modulus = 1
-                for u in into[v]:
-                    modulus *= assigned[u]
-            assigned[v] = take(modulus)
-    for v in o.vertices:
-        if v in a.i_set:
-            modulus = 1
-            for u in into[v]:  # the 1-in-neighborhood
-                modulus *= assigned[u]
-            assigned[v] = take(modulus)
+            assigned[v] = take(o_product if congruence == CONGRUENCE_GLOBAL else in_product(i))
+    for i, v in enumerate(o.vertices):
+        if not o.out_rows[i]:  # a sink: its modulus is over the 1-in-neighborhood
+            assigned[v] = take(in_product(i))
     return assigned
 
 
@@ -188,9 +183,8 @@ def build_module(
     phi1_set, phi2_set = phi_sets(o, v)
     if not phi1_set:
         raise ValueError(f"sink {v!r} has an empty 1-in-neighborhood; use a plain cyclic factor")
-    order = {u: i for i, u in enumerate(o.vertices)}
-    phi1 = sorted(phi1_set, key=order.get)
-    phi2 = sorted(phi2_set, key=order.get)
+    phi1 = [u for u in o.vertices if u in phi1_set]
+    phi2 = [u for u in o.vertices if u in phi2_set]
     r = primes[v]
     m = 1
     for w in phi1:
@@ -314,15 +308,14 @@ def synthesize(
     """
     a = analyze(o)
     primes = select_primes(o, congruence, prime_cap, analysis=a)
-    into = o.in_neighbors()
     k_actions: dict[tuple[str, str], int] = {}
     for u, v in o.sorted_arcs():
         if u in a.o_set and v in a.d_set:
             k_actions[(u, v)] = build_k_action(primes[u], primes[v])
     modules = {
         v: build_module(o, v, primes, k_actions)
-        for v in o.vertices
-        if v in a.i_set and into[v]
+        for v, out, into in zip(o.vertices, o.out_rows, o.in_rows)
+        if not out and into
     }
     plan = GroupPlan(
         orientation=o,
@@ -379,7 +372,7 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
             if plan.prime_of[v] % o_product != 1 % o_product:
                 problems.append(f"double prime {plan.prime_of[v]} is not 1 mod {o_product}")
     expected_actions = set()
-    for u, v in o.arcs:
+    for u, v in o.sorted_arcs():
         if u in a.o_set and v in a.d_set:
             expected_actions.add((u, v))
             if plan.prime_of[v] % plan.prime_of[u] != 1:
@@ -394,11 +387,10 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
         p, q = plan.prime_of[u], plan.prime_of[v]
         if not 1 < e < q or pow(e, p, q) != 1 or e % q == 1:
             problems.append(f"exponent {e} for {u!r}->{v!r} has wrong order")
-    into = o.in_neighbors()
-    for v in a.i_set:
-        if into[v] and v not in plan.modules:
+    for v, out, into in zip(o.vertices, o.out_rows, o.in_rows):
+        if not out and into and v not in plan.modules:
             problems.append(f"sink {v!r} is missing a module")
-        if not into[v] and v in plan.modules:
+        if not out and not into and v in plan.modules:
             problems.append(f"isolated sink {v!r} should be a plain cyclic factor")
     for v, spec in plan.modules.items():
         if v not in a.i_set:
@@ -407,7 +399,7 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
         if not is_prime(spec.characteristic):
             problems.append(f"module characteristic {spec.characteristic} for {v!r} is not prime")
             continue
-        phi1, phi2 = _phi_sets(into, v)
+        phi1, phi2 = phi_sets(o, v)
         m = 1
         for w in phi1:
             m *= plan.prime_of[w]
@@ -429,6 +421,7 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
 
 def plan_to_json_dict(plan: GroupPlan) -> dict:
     o = plan.orientation
+    position = o.underlying.position
     return {
         "schema": PLAN_SCHEMA,
         "congruence": plan.congruence,
@@ -440,8 +433,7 @@ def plan_to_json_dict(plan: GroupPlan) -> dict:
         "k_actions": [
             {"actor": u, "target": v, "exponent": e}
             for (u, v), e in sorted(
-                plan.k_actions.items(),
-                key=lambda kv: (o.vertices.index(kv[0][0]), o.vertices.index(kv[0][1])),
+                plan.k_actions.items(), key=lambda kv: (position(kv[0][0]), position(kv[0][1]))
             )
         ],
         "modules": {
@@ -450,12 +442,10 @@ def plan_to_json_dict(plan: GroupPlan) -> dict:
                 "dimension": spec.dimension,
                 "actions": {
                     w: [list(row) for row in modmat.to_rows(mat)]
-                    for w, mat in sorted(
-                        spec.generator_action.items(), key=lambda kv: o.vertices.index(kv[0])
-                    )
+                    for w, mat in sorted(spec.generator_action.items(), key=lambda kv: position(kv[0]))
                 },
             }
-            for v, spec in sorted(plan.modules.items(), key=lambda kv: o.vertices.index(kv[0]))
+            for v, spec in sorted(plan.modules.items(), key=lambda kv: position(kv[0]))
         },
     }
 

@@ -12,6 +12,9 @@ must reproduce their colorings (and node counts) exactly.
 reference_k_multiply and reference_rho are likewise the group model's
 earlier K product and module action, which read the plan's maps on every
 call; the table-driven versions must reproduce them exactly.
+reference_validate, reference_analyze and reference_phi_sets are the
+earlier orientation algorithms on dicts of neighbour sets built from the
+arcs; the mask versions must reproduce their witnesses and sets exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from solvgraph import (
     find_triangle,
     synthesize,
 )
+from solvgraph.analysis import DigraphAnalysis
 from solvgraph.model import GroupModel
+from solvgraph.realizability import OrientationViolation
 from solvgraph import modmat
 from solvgraph.modmat import to_rows
 
@@ -601,6 +606,160 @@ def reference_rho(model: GroupModel, j: int, k: tuple[int, ...]) -> modmat.Monom
                     mat, modmat.power(f.action[v], k[i], f.prime), f.prime
                 )
     return mat
+
+
+# -- earlier orientation algorithms, on dicts of neighbour sets ----------------
+
+
+def reference_out_neighbors(o: Orientation) -> dict[str, set[str]]:
+    out: dict[str, set[str]] = {v: set() for v in o.vertices}
+    for u, v in o.arcs:
+        out[u].add(v)
+    return out
+
+
+def reference_in_neighbors(o: Orientation) -> dict[str, set[str]]:
+    into: dict[str, set[str]] = {v: set() for v in o.vertices}
+    for u, v in o.arcs:
+        into[v].add(u)
+    return into
+
+
+def reference_ring(step: dict, v: str, k: int) -> frozenset[str]:
+    """Vertices at distance exactly k from v along ``step``, by BFS."""
+    dist = {v: 0}
+    frontier = [v]
+    depth = 0
+    while frontier and depth < k:
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for y in step[x]:
+                if y not in dist:
+                    dist[y] = depth
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(u for u, d in dist.items() if d == k)
+
+
+def reference_least_cycle(o: Orientation) -> tuple[str, ...] | None:
+    # shortest directed cycle through the earliest possible vertex,
+    # BFS preferring lower-position successors
+    pos = {v: i for i, v in enumerate(o.vertices)}
+    out = reference_out_neighbors(o)
+    ordered_out = {v: sorted(out[v], key=pos.get) for v in o.vertices}
+    for start in o.vertices:
+        parent: dict[str, str] = {}
+        frontier = [start]
+        seen = {start}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in ordered_out[x]:
+                    if y == start:
+                        cycle = [x]
+                        while cycle[-1] != start:
+                            cycle.append(parent[cycle[-1]])
+                        cycle.reverse()
+                        return tuple(cycle)
+                    if y not in seen:
+                        seen.add(y)
+                        parent[y] = x
+                        nxt.append(y)
+            frontier = nxt
+    return None
+
+
+def reference_least_directed_3_path(o: Orientation) -> tuple[str, ...] | None:
+    pos = {v: i for i, v in enumerate(o.vertices)}
+    out = reference_out_neighbors(o)
+    for a in o.vertices:
+        for b in sorted(out[a], key=pos.get):
+            for c in sorted(out[b], key=pos.get):
+                for d in sorted(out[c], key=pos.get):
+                    if len({a, b, c, d}) == 4:
+                        return a, b, c, d
+    return None
+
+
+def reference_validate(o: Orientation) -> list[OrientationViolation]:
+    violations = []
+    cycle = reference_least_cycle(o)
+    if cycle is not None:
+        violations.append(OrientationViolation("cycle", cycle))
+    path = reference_least_directed_3_path(o)
+    if path is not None:
+        violations.append(OrientationViolation("directed-3-path", path))
+    triangle = find_triangle(o.underlying)
+    if triangle is not None:
+        violations.append(OrientationViolation("triangle", triangle))
+    return violations
+
+
+def reference_analyze(o: Orientation) -> DigraphAnalysis:
+    """The analysis of a valid orientation, by set operations."""
+    out = reference_out_neighbors(o)
+    into = reference_in_neighbors(o)
+    o_set, d_set, i_set = set(), set(), set()
+    for v in o.vertices:
+        if not out[v]:
+            i_set.add(v)
+        elif into[v]:
+            d_set.add(v)
+        else:
+            o_set.add(v)
+    pi_set = {v for v in o.vertices if reference_ring(into, v, 2)}
+    o1_of = {
+        v: frozenset(reference_ring(into, v, 1) & o_set)
+        for v in sorted(i_set, key=o.vertices.index)
+    }
+    n2 = {v: reference_ring(into, v, 2) for v in pi_set}
+    if pi_set:
+        o1 = frozenset().union(*(o1_of[p] for p in pi_set))
+        o1_star = frozenset.intersection(*(o1_of[p] for p in pi_set))
+        o2 = frozenset.intersection(*(n2[p] for p in pi_set))
+        o2_star = frozenset().union(*(n2[p] for p in pi_set))
+    else:
+        o1, o2_star = frozenset(), frozenset()
+        o1_star, o2 = frozenset(o_set), frozenset(o_set)
+    return DigraphAnalysis(
+        orientation=o,
+        o_set=frozenset(o_set),
+        d_set=frozenset(d_set),
+        i_set=frozenset(i_set),
+        pi_set=frozenset(pi_set),
+        phi_set=frozenset(i_set - pi_set),
+        o1_of=o1_of,
+        o1=o1,
+        o1_star=o1_star,
+        o2=frozenset(o2),
+        o2_star=frozenset(o2_star),
+    )
+
+
+def reference_phi_sets(o: Orientation, v: str) -> tuple[frozenset[str], frozenset[str]]:
+    into = reference_in_neighbors(o)
+    if v not in into:
+        raise ValueError(f"unknown vertex {v!r}")
+    if any(v in sources for sources in into.values()):
+        raise ValueError(f"vertex {v!r} has outgoing arcs; phi sets need a sink")
+    return reference_ring(into, v, 1), reference_ring(into, v, 2)
+
+
+def random_orientations(seed: int, count: int = 600):
+    """count random orientations of random graphs on 1-9 vertices, with
+    random labels listed in a random order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_graph(rng, rng.randrange(1, 10), rng.random())
+        name = {v: f"v{rng.randrange(100)}_{v}" for v in g.vertices}
+        vertices = list(name.values())
+        rng.shuffle(vertices)
+        arcs = [(name[u], name[v]) for u, v in g.sorted_edges()]
+        yield Orientation(
+            LabeledGraph(vertices, arcs),
+            [(u, v) if rng.random() < 0.5 else (v, u) for u, v in arcs],
+        )
 
 
 # -- shared synthesized corpus ------------------------------------------------

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from helpers import (
     all_valid_orientations,
+    orientation_sweep,
     pentagon_orientation,
+    random_orientations,
+    reference_analyze,
     relabeled,
     six_prime_example_graph,
     six_prime_example_orientation,
@@ -19,6 +24,7 @@ from solvgraph import (
     fitting_bounds,
     orientation_from_arcs,
     sigma_partition_bound,
+    validate_frobenius_orientation,
 )
 
 
@@ -35,6 +41,17 @@ def test_pentagon_analysis():
     assert a.o1_star == {"p2"}
     assert a.o2 == {"p1"}
     assert a.o2_star == {"p1"}
+
+
+def test_analysis_matches_the_reference():
+    """Every field and the JSON bytes against the set-based analysis, on
+    the sweep and on the valid random orientations."""
+    for o in orientation_sweep() + tuple(random_orientations(13)):
+        if validate_frobenius_orientation(o):
+            continue
+        a, expected = analyze(o), reference_analyze(o)
+        assert a == expected, o.sorted_arcs()
+        assert json.dumps(a.to_json_dict()) == json.dumps(expected.to_json_dict())
 
 
 def test_six_prime_example_analysis():

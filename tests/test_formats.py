@@ -132,7 +132,19 @@ def test_orientation_requires_full_cover():
     g = LabeledGraph("abc", [("a", "b"), ("b", "c")])
     from solvgraph import Orientation
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover every underlying edge"):
         Orientation(g, [("a", "b")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="oriented twice"):
         Orientation(g, [("a", "b"), ("b", "a")])
+    with pytest.raises(ValueError, match=r"arc \('a', 'c'\) is not an underlying edge"):
+        Orientation(g, [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(ValueError, match=r"arc \('a', 'z'\) is not an underlying edge"):
+        Orientation(g, [("a", "z")])
+    with pytest.raises(ValueError, match="is not an underlying edge"):
+        Orientation(g, [("a", "a")])
+    # a repeated arc counts once, as in a set of arcs
+    o = Orientation(g, [("a", "b"), ("c", "b"), ("a", "b")])
+    assert o == Orientation(g, [("c", "b"), ("a", "b")])
+    assert o.arcs == {("a", "b"), ("c", "b")}
+    assert o.sorted_arcs() == [("a", "b"), ("c", "b")]
+    assert o.in_rows == (0, 0b101, 0) and o.out_rows == (0b10, 0, 0b10)

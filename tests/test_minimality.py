@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from solvgraph import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    enumerate_graphs,
     enumerate_minimal,
     is_minimal,
     is_solvable_prime_graph,
@@ -122,6 +124,23 @@ def test_contains_induced_c5_examples():
     g = grotzsch()
     e = g.sorted_edges()[0]
     assert contains_induced_c5(without_edge(g, *e)) is not None
+
+
+def test_contains_induced_c5_finds_the_first_subset():
+    c5 = cycle_graph("01234")
+
+    def first(g):
+        for subset in combinations(g.vertices, 5):
+            induced = LabeledGraph(subset, [e for e in g.edges if set(e) <= set(subset)])
+            if isomorphic(induced, c5):
+                return subset
+        return None
+
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for h in (g, relabeled(g, rng)):
+                assert contains_induced_c5(h) == first(h), h
 
 
 def test_check_minimal_lemmas_on_known_minimal_graphs():

@@ -15,8 +15,12 @@ from helpers import (
     mycielski,
     numbered,
     oracle_least_directed_3_path,
+    oracle_max_clique,
+    orientation_sweep,
     random_graph,
+    random_orientations,
     reference_color_search,
+    reference_validate,
     reference_verdict_document,
     relabeled,
 )
@@ -154,6 +158,23 @@ def test_directed_3_path_witness_is_least():
         assert found.get("directed-3-path") == oracle_least_directed_3_path(o)
         cyclic += "cycle" in found
     assert cyclic > 50
+
+
+def test_validator_matches_the_reference():
+    """Whole violation lists, witnesses included, against the dict-based
+    searches: the sweep and random orientations with shuffled labels."""
+    cyclic = 0
+    for o in orientation_sweep() + tuple(random_orientations(11)):
+        found = validate_frobenius_orientation(o)
+        assert found == reference_validate(o), o.sorted_arcs()
+        cyclic += any(v.kind == "cycle" for v in found)
+    assert cyclic >= 50
+
+
+def test_independence_number_matches_clique_oracle():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert independence_number(g) == oracle_max_clique(complement(g)), g
 
 
 def test_exceptional_forests_are_the_seven_known_ones():

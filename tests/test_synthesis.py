@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from helpers import dense_identity, dense_nullity, pentagon_orientation
+from helpers import (
+    dense_identity,
+    dense_nullity,
+    orientation_sweep,
+    pentagon_orientation,
+    random_orientations,
+    reference_phi_sets,
+)
 from solvgraph import (
     build_k_action,
     build_module,
+    directed_neighborhood,
     estimate_order,
     orientation_from_arcs,
     phi_sets,
@@ -32,6 +41,20 @@ def test_phi_sets_examples():
     assert phi_sets(single, "b") == ({"a"}, frozenset())
     with pytest.raises(ValueError):
         phi_sets(o, "p1")  # not a sink
+
+
+def test_phi_sets_match_the_reference():
+    """Sets and error messages against the dict-based rings, for every
+    vertex of the sweep and of random orientations, cyclic ones included."""
+    for o in orientation_sweep() + tuple(random_orientations(17)):
+        for v in o.vertices + ("missing",):
+            try:
+                expected = reference_phi_sets(o, v)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    phi_sets(o, v)
+            else:
+                assert phi_sets(o, v) == expected
 
 
 def test_phi_sets_disjoint_on_validated_orientations():
@@ -89,12 +112,11 @@ def test_select_primes_are_smallest_admissible():
         for mode in ("global", "per-arc"):
             chosen = select_primes(o, congruence=mode)
             a = analyze(o)
-            into = o.in_neighbors()
             for v, p in chosen.items():
                 if v in a.o_set:
                     modulus = 1
                 elif v in a.d_set:
-                    sources = a.o_set if mode == "global" else into[v]
+                    sources = a.o_set if mode == "global" else directed_neighborhood(o, v, 1, "in")
                     modulus = 1
                     for u in sources:
                         modulus *= chosen[u]
