@@ -214,14 +214,11 @@ def _load_plan(path: str):
     return plan_from_json_dict(json.loads(_read(path)))
 
 
-def _report_problems(plan) -> list[str]:
-    """validate_plan's problems, each printed on stderr."""
-    from .synthesis import validate_plan
-
-    problems = validate_plan(plan)
-    for problem in problems:
+def _report_problems(plan) -> tuple[str, ...]:
+    """The plan's problems, each printed on stderr."""
+    for problem in plan.problems:
         print(f"invalid plan: {problem}", file=sys.stderr)
-    return problems
+    return plan.problems
 
 
 def _load_model(path: str) -> GroupModel | None:

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import modmat
-from .analysis import DigraphAnalysis, analyze
 from .errors import LimitExceeded
 from .graphs import LabeledGraph, Orientation, complement, orientation_from_arcs
-from .synthesis import GroupPlan, estimate_order, validate_plan
+from .synthesis import GroupPlan, estimate_order, vertex_roles
 
 SIGMA_PRIME_LIMIT = 12
 BRUTE_FORCE_CAP = 2_000_000
@@ -51,25 +50,24 @@ class _ModuleFactor:
 class GroupModel:
     """Concrete group built from a GroupPlan; immutable once constructed.
 
-    The plan is expected to pass validate_plan.  The vertex roles are read
-    off ``analysis``, the analysis of the plan's orientation; when it is
-    not given, the orientation is analysed, and so validated, once more.
+    Raises ValueError naming the plan's first problem when the plan fails
+    validate_plan.  Sources and doubles become the top-level cyclic
+    factors, sinks the module factors.
     """
 
-    def __init__(self, plan: GroupPlan, analysis: DigraphAnalysis | None = None):
+    def __init__(self, plan: GroupPlan):
+        if plan.problems:
+            raise ValueError(f"invalid plan: {plan.problems[0]}")
         self.plan = plan
         o = plan.orientation
-        a = analysis if analysis is not None else analyze(o)
+        role = vertex_roles(o)
         self.k_factors: tuple[tuple[str, int, str], ...] = tuple(
-            (v, plan.prime_of[v], "O" if v in a.o_set else "D")
-            for v in o.vertices
-            if v in a.o_set or v in a.d_set
+            (v, plan.prime_of[v], r) for v, r in role.items() if r != "I"
         )
-        self.k_index = {v: i for i, (v, _, _) in enumerate(self.k_factors)}
         self.k_exponents = dict(plan.k_actions)
         factors = []
         for v in o.vertices:
-            if v not in a.i_set:
+            if role[v] != "I":
                 continue
             if v in plan.modules:
                 spec = plan.modules[v]
@@ -129,12 +127,7 @@ class GroupModel:
         return GroupElement(k, mods)
 
     def group_order(self) -> int:
-        total = 1
-        for _, p, _ in self.k_factors:
-            total *= p
-        for f in self.modules:
-            total *= f.prime**f.dim
-        return total
+        return estimate_order(self.plan)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for _, p, _ in self.k_factors) + tuple(
@@ -374,8 +367,8 @@ def round_trip_report(plan: GroupPlan) -> dict:
     """Recompute the digraph and prime graph from the model and compare
     with the plan's orientation under the vertex-to-prime relabeling.
 
-    A plan that fails validate_plan gets no model: it is reported as
-    invalid, with both comparisons false.
+    A plan with problems gets no model: it is reported as invalid, with
+    both comparisons false.
     """
     report = {
         "schema": "solvgraph.verify/1",
@@ -384,13 +377,9 @@ def round_trip_report(plan: GroupPlan) -> dict:
         "prime_graph_matches": False,
         "group_order": estimate_order(plan),
     }
-    try:
-        analysis = analyze(plan.orientation)
-    except ValueError:
+    if plan.problems:
         return report
-    if validate_plan(plan, analysis):
-        return report
-    model = GroupModel(plan, analysis)
+    model = GroupModel(plan)
     o = plan.orientation
     rename = {v: str(plan.prime_of[v]) for v in o.vertices}
     digraph = model.compute_frobenius_digraph()

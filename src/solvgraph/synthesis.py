@@ -26,12 +26,13 @@ matrices commute.  validate_plan checks all of this independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import modmat
-from .analysis import DigraphAnalysis, analyze
 from .formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC, DEFAULT_PRIME_CAP
 from .graphs import Orientation, labels_at, mask_ring, orientation_from_arcs
 from .primes import elements_of_order, is_prime, smallest_prime
+from .realizability import validate_frobenius_orientation
 
 PLAN_SCHEMA = "solvgraph.plan/1"
 
@@ -52,11 +53,27 @@ class ModuleSpec:
 
 @dataclass(frozen=True)
 class GroupPlan:
+    """Recipe for an orientation's group.  It is not modified after it is
+    built, so ``problems``, its validate_plan verdict, is kept."""
+
     orientation: Orientation
     prime_of: dict[str, int]
     k_actions: dict[tuple[str, str], int]
     modules: dict[str, ModuleSpec]
     congruence: str
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        return tuple(validate_plan(self))
+
+
+def vertex_roles(o: Orientation) -> dict[str, str]:
+    """Each vertex's role in vertex order, as in analysis.analyze: "I" sink
+    (no out-arcs), else "D" double (with in-arcs) or "O" source (without)."""
+    return {
+        v: "I" if not out else "D" if into else "O"
+        for v, out, into in zip(o.vertices, o.out_rows, o.in_rows)
+    }
 
 
 def phi_sets(o: Orientation, v: str) -> tuple[frozenset[str], frozenset[str]]:
@@ -79,7 +96,6 @@ def select_primes(
     o: Orientation,
     congruence: str = CONGRUENCE_GLOBAL,
     cap: int = DEFAULT_PRIME_CAP,
-    analysis: DigraphAnalysis | None = None,
 ) -> dict[str, int]:
     """Assign distinct primes to vertices, smallest admissible first.
 
@@ -87,12 +103,15 @@ def select_primes(
     need q = 1 (mod p): in global mode p is the product of all source
     primes, in per-arc mode only of the in-neighbor primes.  A sink with
     a nonempty 1-in-neighborhood needs r = 1 modulo the product of those
-    primes; other sinks take the smallest unused prime.  ``analysis``,
-    when given, is the analysis of o and spares its re-validation.
+    primes; other sinks take the smallest unused prime.  Raises
+    ValueError for an invalid orientation, then for an unknown mode.
     """
+    violations = validate_frobenius_orientation(o)
+    if violations:
+        raise ValueError(f"orientation is not valid: {violations[0].kind}")
     if congruence not in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
         raise ValueError(f"unknown congruence mode {congruence!r}")
-    a = analysis if analysis is not None else analyze(o)
+    role = vertex_roles(o)
     assigned: dict[str, int] = {}
     used: set[int] = set()
 
@@ -101,12 +120,10 @@ def select_primes(
         used.add(p)
         return p
 
-    for v in o.vertices:
-        if v in a.o_set:
-            assigned[v] = take(1)
     o_product = 1
     for v in o.vertices:
-        if v in a.o_set:
+        if role[v] == "O":
+            assigned[v] = take(1)
             o_product *= assigned[v]
 
     def in_product(i: int) -> int:
@@ -116,7 +133,7 @@ def select_primes(
         return modulus
 
     for i, v in enumerate(o.vertices):
-        if v in a.d_set:
+        if role[v] == "D":
             assigned[v] = take(o_product if congruence == CONGRUENCE_GLOBAL else in_product(i))
     for i, v in enumerate(o.vertices):
         if not o.out_rows[i]:  # a sink: its modulus is over the 1-in-neighborhood
@@ -211,7 +228,6 @@ def build_module(
 
 def verify_module(
     plan: GroupPlan,
-    a: DigraphAnalysis,
     v: str,
     phi1: frozenset[str],
     phi2: frozenset[str],
@@ -274,8 +290,9 @@ def verify_module(
 
     # The double matrices all lie in the 1-in-neighborhood, so they
     # commute already; the source matrices may also act through phi2.
-    u_actors = sorted(w for w in phi1 if w in a.d_set)
-    t_actors = sorted(w for w in phi1 | phi2 if w in a.o_set)
+    role = vertex_roles(plan.orientation)
+    u_actors = sorted(w for w in phi1 if role[w] == "D")
+    t_actors = sorted(w for w in phi1 | phi2 if role[w] == "O")
     for i, w in enumerate(t_actors):
         for u in t_actors[i + 1 :]:
             if not modmat.commute(mats[w], mats[u], r):
@@ -306,11 +323,11 @@ def synthesize(
     actions.  Raises ValueError when o fails validation and
     LimitExceeded when a prime search passes ``prime_cap``.
     """
-    a = analyze(o)
-    primes = select_primes(o, congruence, prime_cap, analysis=a)
+    primes = select_primes(o, congruence, prime_cap)
+    role = vertex_roles(o)
     k_actions: dict[tuple[str, str], int] = {}
     for u, v in o.sorted_arcs():
-        if u in a.o_set and v in a.d_set:
+        if role[u] == "O" and role[v] == "D":
             k_actions[(u, v)] = build_k_action(primes[u], primes[v])
     modules = {
         v: build_module(o, v, primes, k_actions)
@@ -324,9 +341,8 @@ def synthesize(
         modules=modules,
         congruence=congruence,
     )
-    leftover = validate_plan(plan, a)
-    if leftover:
-        raise AssertionError(f"synthesized plan fails validation: {leftover}")
+    if plan.problems:
+        raise AssertionError(f"synthesized plan fails validation: {list(plan.problems)}")
     return plan
 
 
@@ -339,20 +355,16 @@ def estimate_order(plan: GroupPlan) -> int:
     return total
 
 
-def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> list[str]:
-    """Independent re-check of every plan invariant; empty list means valid.
-
-    ``analysis``, when given, is the analysis of the plan's orientation,
-    which is then not validated again.
+def validate_plan(plan: GroupPlan) -> list[str]:
+    """Independent re-check of every plan invariant, the orientation's
+    validity first; empty list means valid.  Problems are reported in
+    vertex order.  ``plan.problems`` keeps this verdict.
     """
     problems: list[str] = []
     o = plan.orientation
-    if analysis is None:
-        try:
-            analysis = analyze(o)
-        except ValueError:
-            return ["orientation fails validation"]
-    a = analysis
+    if validate_frobenius_orientation(o):
+        return ["orientation fails validation"]
+    role = vertex_roles(o)
     values = list(plan.prime_of.values())
     if sorted(plan.prime_of) != sorted(o.vertices):
         problems.append("prime map does not cover the vertex set")
@@ -366,14 +378,15 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
         problems.append(f"unknown congruence mode {plan.congruence!r}")
     if plan.congruence == CONGRUENCE_GLOBAL:
         o_product = 1
-        for v in a.o_set:
-            o_product *= plan.prime_of[v]
-        for v in a.d_set:
-            if plan.prime_of[v] % o_product != 1 % o_product:
+        for v in o.vertices:
+            if role[v] == "O":
+                o_product *= plan.prime_of[v]
+        for v in o.vertices:
+            if role[v] == "D" and plan.prime_of[v] % o_product != 1 % o_product:
                 problems.append(f"double prime {plan.prime_of[v]} is not 1 mod {o_product}")
     expected_actions = set()
     for u, v in o.sorted_arcs():
-        if u in a.o_set and v in a.d_set:
+        if role[u] == "O" and role[v] == "D":
             expected_actions.add((u, v))
             if plan.prime_of[v] % plan.prime_of[u] != 1:
                 problems.append(
@@ -393,7 +406,7 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
         if not out and not into and v in plan.modules:
             problems.append(f"isolated sink {v!r} should be a plain cyclic factor")
     for v, spec in plan.modules.items():
-        if v not in a.i_set:
+        if role[v] != "I":
             problems.append(f"module on {v!r}, which is not a sink")
             continue
         if not is_prime(spec.characteristic):
@@ -412,7 +425,7 @@ def validate_plan(plan: GroupPlan, analysis: DigraphAnalysis | None = None) -> l
             problems.append(f"module prime for {v!r} disagrees with the prime map")
         if spec.dimension != d:
             problems.append(f"module for {v!r} has dimension {spec.dimension}, expected {d}")
-        problems.extend(verify_module(plan, a, v, phi1, phi2))
+        problems.extend(verify_module(plan, v, phi1, phi2))
     return problems
 
 

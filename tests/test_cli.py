@@ -327,10 +327,28 @@ def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
     refused(doc, "orientation fails validation")
 
 
-def _python(*args: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+def test_plan_problems_do_not_depend_on_the_hash_seed(tmp_path):
+    """Problems come in vertex order: here the global-congruence lines of
+    the doubles x and y, whichever order a set of labels has."""
+    from solvgraph import orientation_from_arcs, plan_to_json_dict, synthesize
+
+    arcs = [("a", "x"), ("b", "y"), ("a", "z"), ("x", "s"), ("y", "t"), ("z", "u")]
+    doc = plan_to_json_dict(synthesize(orientation_from_arcs("abxyzstu", arcs)))
+    doc["primes"]["x"], doc["primes"]["y"] = "11", "5"  # both not 1 mod 2 * 3
+    path = _write(tmp_path, "plan.json", json.dumps(doc))
+    runs = [_python("-m", "solvgraph.cli", "verify", path, PYTHONHASHSEED=seed) for seed in "01"]
+    assert [done.returncode for done in runs] == [1, 1]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.decode().splitlines()[:2] == [
+        "invalid plan: double prime 11 is not 1 mod 6",
+        "invalid plan: double prime 5 is not 1 mod 6",
+    ]
+
+
+def _python(*args: str, stdin: bytes = b"", **env: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
         input=stdin,
         capture_output=True,
     )
@@ -356,6 +374,9 @@ def test_cli_import_leaves_numpy_out():
     assert "solvgraph.realizability" in check and not check & heavy
     verify = loaded_by_verb("verify", str(data / "pentagon.plan.json"))
     assert "solvgraph.model" in verify and "solvgraph.minimality" not in verify
+    synthesize = loaded_by_verb("synthesize", str(data / "pentagon.arcs"))
+    assert "solvgraph.synthesis" in synthesize
+    assert "solvgraph.analysis" not in synthesize | verify
     assert "numpy" not in check | verify
 
 

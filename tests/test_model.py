@@ -134,6 +134,62 @@ def test_round_trip_in_global_congruence_mode():
     assert count == 634
 
 
+def test_each_plan_is_checked_once(monkeypatch):
+    """Over the sweep, synthesize, round_trip_report and GroupModel verify
+    each module once, run validate_plan once per plan and validate each
+    orientation at most twice: in select_primes and in validate_plan."""
+    from solvgraph import analysis, model, synthesis
+
+    counts = dict.fromkeys(("validate_frobenius_orientation", "validate_plan", "verify_module"), 0)
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (analysis, synthesis, model):
+        for name in counts:
+            if hasattr(module, name):
+                counting(module, name)
+    sweep = orientation_sweep(6)
+    module_count = 0
+    for o in sweep:
+        plan = synthesize(o, congruence="per-arc")
+        report = round_trip_report(plan)
+        assert report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"]
+        GroupModel(plan)
+        module_count += len(plan.modules)
+    assert (len(sweep), module_count) == (634, 1321)
+    assert counts["verify_module"] == module_count
+    assert counts["validate_plan"] == len(sweep)
+    assert counts["validate_frobenius_orientation"] <= 2 * len(sweep)
+
+
+def test_invalid_plan_gets_no_model():
+    """A plan corrupted through its JSON: GroupModel refuses it, and the
+    round trip reports it invalid with the plan's estimated order."""
+    import json
+
+    from solvgraph import plan_from_json_dict, plan_to_json_dict
+
+    doc = plan_to_json_dict(synthesize(pentagon_orientation()))
+    doc["primes"]["p3"] = "11"  # breaks the global congruence (11 != 1 mod 6)
+    plan = plan_from_json_dict(json.loads(json.dumps(doc)))
+    with pytest.raises(ValueError, match=r"^invalid plan: double prime 11 is not 1 mod 6$"):
+        GroupModel(plan)
+    assert round_trip_report(plan) == {
+        "schema": "solvgraph.verify/1",
+        "plan_valid": False,
+        "digraph_matches": False,
+        "prime_graph_matches": False,
+        "group_order": estimate_order(plan),
+    }
+
+
 def test_digraph_of_single_arc_model():
     m = _single_arc_model()
     assert set(m.compute_frobenius_digraph().arcs) == {("2", "3")}

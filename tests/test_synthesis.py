@@ -68,6 +68,17 @@ def test_phi_sets_disjoint_on_validated_orientations():
             assert not phi1 & phi2
 
 
+def test_vertex_roles_are_the_analysis_partition():
+    from solvgraph import analyze
+    from solvgraph.synthesis import vertex_roles
+
+    for o in orientation_sweep():
+        role, a = vertex_roles(o), analyze(o)
+        assert list(role) == list(o.vertices)
+        for kind, expected in (("O", a.o_set), ("D", a.d_set), ("I", a.i_set)):
+            assert {v for v, r in role.items() if r == kind} == expected
+
+
 def test_select_primes_global_mode():
     assert select_primes(pentagon_orientation()) == {
         "p1": 2,
@@ -96,6 +107,15 @@ def test_select_primes_single_arc():
 def test_select_primes_two_components():
     o = orientation_from_arcs("abcd", [("a", "b"), ("c", "d")])
     assert select_primes(o) == {"a": 2, "c": 3, "b": 5, "d": 7}
+
+
+def test_select_primes_checks_the_orientation_then_the_mode():
+    bad = orientation_from_arcs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    for mode in ("global", "bogus"):
+        with pytest.raises(ValueError, match="^orientation is not valid: directed-3-path$"):
+            select_primes(bad, congruence=mode)
+    with pytest.raises(ValueError, match="^unknown congruence mode 'bogus'$"):
+        select_primes(pentagon_orientation(), congruence="bogus")
 
 
 def test_select_primes_are_smallest_admissible():
