@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import gcd
 
 from . import modmat
 from .errors import LimitExceeded
-from .graphs import LabeledGraph, Orientation, complement, orientation_from_arcs
+from .graphs import LabeledGraph, Orientation, complement
 from .synthesis import GroupPlan, estimate_order, vertex_roles
 
 SIGMA_PRIME_LIMIT = 12
@@ -107,7 +108,19 @@ class GroupModel:
         )
 
     def element(self, k_part: dict[str, int], module_parts: dict[str, tuple[int, ...]]) -> GroupElement:
-        """Build an element from per-vertex coordinates, reducing as needed."""
+        """Build an element from per-vertex coordinates, reducing as needed.
+
+        Raises ValueError naming a k_part key that is not a K vertex, or a
+        module_parts key that is not a module vertex.
+        """
+        k_vertices = {v for v, _, _ in self.k_factors}
+        for v in k_part:
+            if v not in k_vertices:
+                raise ValueError(f"{v!r} is not a K vertex of the model")
+        module_vertices = {f.vertex for f in self.modules}
+        for v in module_parts:
+            if v not in module_vertices:
+                raise ValueError(f"{v!r} is not a module vertex of the model")
         k = []
         for v, p, _ in self.k_factors:
             k.append(k_part.get(v, 0) % p)
@@ -265,8 +278,9 @@ class GroupModel:
     def _prime_labels(self) -> tuple[str, ...]:
         return tuple(str(p) for p in self.primes())
 
-    def _frobenius_arcs(self) -> list[tuple[str, str]]:
-        """Arcs actor -> acted-upon between prime labels.
+    def _frobenius_out_rows(self) -> list[int]:
+        """Out-masks of the arcs actor -> acted-upon over the prime
+        positions: K factors first, then modules, as in primes().
 
         A source acts on a double exactly when an action exponent links
         them; a top-level generator acts on a module exactly when its
@@ -275,21 +289,30 @@ class GroupModel:
         equal role commute (direct products), and module pairs commute
         too, so no other pair is an arc.
         """
-        label = {v: str(p) for v, p, _ in self.k_factors}
-        arcs = [(label[u], label[v]) for u, v in self.k_exponents]
-        for f in self.modules:
+        nk = len(self.k_factors)
+        position = {v: i for i, (v, _, _) in enumerate(self.k_factors)}
+        out = [0] * (nk + len(self.modules))
+        for u, v in self.k_exponents:
+            out[position[u]] |= 1 << position[v]
+        for j, f in enumerate(self.modules):
             for v, mat in f.action.items():
                 if not modmat.has_fixed_vector(mat, f.prime):
-                    arcs.append((label[v], str(f.prime)))
-        return arcs
+                    out[position[v]] |= 1 << (nk + j)
+        return out
 
     def compute_prime_graph(self) -> LabeledGraph:
         """Structural prime graph: the non-arcs of the Frobenius digraph."""
-        return complement(LabeledGraph(self._prime_labels(), self._frobenius_arcs()))
+        return complement(self.compute_frobenius_digraph().underlying)
 
     def compute_frobenius_digraph(self) -> Orientation:
         """Arcs actor -> acted-upon on the non-edges of the prime graph."""
-        return orientation_from_arcs(self._prime_labels(), self._frobenius_arcs())
+        out = self._frobenius_out_rows()
+        rows = list(out)
+        for i, row in enumerate(out):
+            for j in range(len(out)):
+                if row >> j & 1:
+                    rows[j] |= 1 << i
+        return Orientation.from_out_rows(LabeledGraph.from_rows(self._prime_labels(), rows), out)
 
     # -- element-order statistics ---------------------------------------------
 
@@ -335,13 +358,33 @@ class GroupModel:
                 best = size
         return best
 
+    def _k_orders(self) -> dict[tuple[int, ...], int]:
+        """Order of every K element by the group law alone.
+
+        Walks the cyclic subgroup of each element not reached yet, once:
+        if k, k**2, ..., k**m is the first return to the identity, k**i
+        has order m / gcd(i, m).
+        """
+        identity = tuple(0 for _ in self.k_factors)
+        orders: dict[tuple[int, ...], int] = {}
+        for k in product(*(range(p) for _, p, _ in self.k_factors)):
+            if k in orders:
+                continue
+            powers = [k]
+            while powers[-1] != identity:
+                powers.append(self.k_multiply(powers[-1], k))
+            m = len(powers)
+            for i, x in enumerate(powers, 1):
+                orders[x] = m // gcd(i, m)
+        return orders
+
     def brute_force_prime_graph(self, cap: int = BRUTE_FORCE_CAP) -> LabeledGraph:
         """Prime graph by exhausting the group elements.
 
-        Iterates every K element; powers of (w, k) accumulate the
-        transfer sum of w, so the primes realized together with k's order
-        are read off the transfer matrices.  Independent of the
-        structural rules in compute_prime_graph.
+        Iterates every K element with its order from _k_orders; powers of
+        (w, k) accumulate the transfer sum of w, so the primes realized
+        together with k's order are read off the transfer matrices.
+        Independent of the structural rules in compute_prime_graph.
         """
         if self.group_order() > cap:
             raise LimitExceeded(
@@ -349,9 +392,7 @@ class GroupModel:
             )
         labels = self._prime_labels()
         edges: set[tuple[str, str]] = set()
-        ranges = [range(p) for _, p, _ in self.k_factors]
-        for k in product(*ranges):
-            n_k = self.k_order(k)
+        for k, n_k in self._k_orders().items():
             realized = [
                 str(p) for _, p, _ in self.k_factors if n_k % p == 0
             ]
@@ -380,19 +421,19 @@ def round_trip_report(plan: GroupPlan) -> dict:
     if plan.problems:
         return report
     model = GroupModel(plan)
-    o = plan.orientation
-    rename = {v: str(plan.prime_of[v]) for v in o.vertices}
     digraph = model.compute_frobenius_digraph()
-    prime_graph = complement(digraph.underlying)
-    expected_graph = LabeledGraph(
-        [rename[v] for v in o.vertices],
-        [(rename[u], rename[v]) for u, v in complement(o.underlying).edges],
-    )
+    o = plan.orientation
+    # model position -> plan position; a valid plan's primes are distinct
+    position = {plan.prime_of[v]: i for i, v in enumerate(o.vertices)}
+    to_plan = [position[p] for p in model.primes()]
+
+    def in_plan_order(rows) -> list[int]:
+        moved = [0] * len(rows)
+        for i, row in enumerate(rows):
+            moved[to_plan[i]] = sum(1 << to_plan[j] for j in range(len(rows)) if row >> j & 1)
+        return moved
+
     report["plan_valid"] = True
-    report["digraph_matches"] = set(digraph.arcs) == {(rename[u], rename[v]) for u, v in o.arcs}
-    report["prime_graph_matches"] = (
-        set(prime_graph.vertices) == set(expected_graph.vertices)
-        and {frozenset(e) for e in prime_graph.edges}
-        == {frozenset(e) for e in expected_graph.edges}
-    )
+    report["digraph_matches"] = in_plan_order(digraph.out_rows) == list(o.out_rows)
+    report["prime_graph_matches"] = in_plan_order(digraph.underlying.rows) == list(o.underlying.rows)
     return report

@@ -12,6 +12,11 @@ must reproduce their colorings (and node counts) exactly.
 reference_k_multiply and reference_rho are likewise the group model's
 earlier K product and module action, which read the plan's maps on every
 call; the table-driven versions must reproduce them exactly.
+reference_brute_force_prime_graph, reference_frobenius_digraph and
+reference_round_trip_report are the model's earlier oracle (k_order for
+every K element), arc-list digraph and label-based round trip; the
+sieved oracle, the out-mask digraph and the out-mask round trip must give
+the same graphs and reports.
 reference_validate, reference_analyze and reference_phi_sets are the
 earlier orientation algorithms on dicts of neighbour sets built from the
 arcs; the mask versions must reproduce their witnesses and sets exactly.
@@ -26,6 +31,7 @@ from operator import mul
 
 from solvgraph import (
     Coloring,
+    GroupPlan,
     LabeledGraph,
     Orientation,
     canonical_form,
@@ -33,11 +39,14 @@ from solvgraph import (
     complement,
     cycle_graph,
     enumerate_graphs,
+    estimate_order,
     find_triangle,
+    orientation_from_arcs,
     synthesize,
 )
 from solvgraph.analysis import DigraphAnalysis
-from solvgraph.model import GroupModel
+from solvgraph.errors import LimitExceeded
+from solvgraph.model import BRUTE_FORCE_CAP, GroupModel
 from solvgraph.realizability import OrientationViolation
 from solvgraph import modmat
 from solvgraph.modmat import to_rows
@@ -606,6 +615,70 @@ def reference_rho(model: GroupModel, j: int, k: tuple[int, ...]) -> modmat.Monom
                     mat, modmat.power(f.action[v], k[i], f.prime), f.prime
                 )
     return mat
+
+
+def reference_frobenius_digraph(model: GroupModel) -> Orientation:
+    """The earlier digraph: an arc list between prime labels through the
+    public constructor."""
+    label = {v: str(p) for v, p, _ in model.k_factors}
+    arcs = [(label[u], label[v]) for u, v in model.k_exponents]
+    for f in model.modules:
+        for v, mat in f.action.items():
+            if not modmat.has_fixed_vector(mat, f.prime):
+                arcs.append((label[v], str(f.prime)))
+    return orientation_from_arcs(model._prime_labels(), arcs)
+
+
+def reference_brute_force_prime_graph(model: GroupModel, cap: int = BRUTE_FORCE_CAP) -> LabeledGraph:
+    """The earlier oracle: k_order for every K element."""
+    if model.group_order() > cap:
+        raise LimitExceeded(
+            f"group order {model.group_order()} exceeds the cap {cap}"
+        )
+    labels = model._prime_labels()
+    edges: set[tuple[str, str]] = set()
+    ranges = [range(p) for _, p, _ in model.k_factors]
+    for k in product(*ranges):
+        n_k = model.k_order(k)
+        realized = [
+            str(p) for _, p, _ in model.k_factors if n_k % p == 0
+        ]
+        for j, f in enumerate(model.modules):
+            if not modmat.transfer_is_zero(model.rho(j, k), n_k, f.prime):
+                realized.append(str(f.prime))
+        for u, v in combinations(realized, 2):
+            edges.add((u, v))
+    return LabeledGraph(labels, edges)
+
+
+def reference_round_trip_report(plan: GroupPlan) -> dict:
+    """The earlier round trip: label-pair sets and complement graphs."""
+    report = {
+        "schema": "solvgraph.verify/1",
+        "plan_valid": False,
+        "digraph_matches": False,
+        "prime_graph_matches": False,
+        "group_order": estimate_order(plan),
+    }
+    if plan.problems:
+        return report
+    model = GroupModel(plan)
+    o = plan.orientation
+    rename = {v: str(plan.prime_of[v]) for v in o.vertices}
+    digraph = reference_frobenius_digraph(model)
+    prime_graph = complement(digraph.underlying)
+    expected_graph = LabeledGraph(
+        [rename[v] for v in o.vertices],
+        [(rename[u], rename[v]) for u, v in complement(o.underlying).edges],
+    )
+    report["plan_valid"] = True
+    report["digraph_matches"] = set(digraph.arcs) == {(rename[u], rename[v]) for u, v in o.arcs}
+    report["prime_graph_matches"] = (
+        set(prime_graph.vertices) == set(expected_graph.vertices)
+        and {frozenset(e) for e in prime_graph.edges}
+        == {frozenset(e) for e in expected_graph.edges}
+    )
+    return report
 
 
 # -- earlier orientation algorithms, on dicts of neighbour sets ----------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -10,8 +11,11 @@ from helpers import (
     model_sigma_by_enumeration,
     orientation_sweep,
     pentagon_orientation,
+    reference_brute_force_prime_graph,
+    reference_frobenius_digraph,
     reference_k_multiply,
     reference_rho,
+    reference_round_trip_report,
     sweep_plans,
 )
 from solvgraph import (
@@ -24,7 +28,7 @@ from solvgraph import (
     synthesize,
 )
 from solvgraph.errors import LimitExceeded
-from solvgraph.model import round_trip_report
+from solvgraph.model import BRUTE_FORCE_CAP, round_trip_report
 
 
 def _single_arc_model() -> GroupModel:
@@ -37,6 +41,11 @@ def _pentagon_model() -> GroupModel:
 
 def _trivial_model(labels) -> GroupModel:
     return GroupModel(synthesize(Orientation(LabeledGraph(labels, []), [])))
+
+
+def _oracle_models() -> list[GroupModel]:
+    """The sweep models small enough for brute_force_prime_graph."""
+    return [GroupModel(plan) for _, plan in sweep_plans(6) if estimate_order(plan) <= BRUTE_FORCE_CAP]
 
 
 def test_multiply_in_six_element_model():
@@ -128,10 +137,54 @@ def test_pentagon_model_round_trip():
 def test_round_trip_in_global_congruence_mode():
     count = 0
     for o in orientation_sweep(6):
-        report = round_trip_report(synthesize(o, congruence="global"))
+        plan = synthesize(o, congruence="global")
+        report = round_trip_report(plan)
         assert report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"], o.arcs
+        assert report == reference_round_trip_report(plan)
         count += 1
     assert count == 634
+
+
+def test_round_trip_matches_reference_per_arc():
+    """The out-mask round trip gives the label-based reports over the sweep."""
+    for o, plan in sweep_plans(6):
+        assert round_trip_report(plan) == reference_round_trip_report(plan), o.arcs
+
+
+def _round_trip_with_arc(monkeypatch, plan, edit) -> tuple[bool, bool, bool]:
+    """The report's three verdicts when edit(out, i, j) changes the first
+    arc i -> j of the model's arc masks."""
+    original = GroupModel._frobenius_out_rows
+
+    def edited(self):
+        out = original(self)
+        i = next(i for i, row in enumerate(out) if row)
+        edit(out, i, (out[i] & -out[i]).bit_length() - 1)
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(GroupModel, "_frobenius_out_rows", edited)
+        report = round_trip_report(plan)
+    return report["plan_valid"], report["digraph_matches"], report["prime_graph_matches"]
+
+
+def _reverse(out, i, j):
+    out[i] ^= 1 << j
+    out[j] |= 1 << i
+
+
+def _drop(out, i, j):
+    out[i] ^= 1 << j
+
+
+def test_round_trip_detects_a_reversed_or_missing_arc(monkeypatch):
+    """A reversed arc keeps the prime graph but not the digraph; a
+    missing arc breaks both.  Every sweep plan with an arc is checked."""
+    plans = [plan for o, plan in sweep_plans(6) if o.arcs]
+    assert len(plans) > 600
+    for plan in plans:
+        assert _round_trip_with_arc(monkeypatch, plan, _reverse) == (True, False, True)
+        assert _round_trip_with_arc(monkeypatch, plan, _drop) == (True, False, False)
 
 
 def test_each_plan_is_checked_once(monkeypatch):
@@ -181,7 +234,7 @@ def test_invalid_plan_gets_no_model():
     plan = plan_from_json_dict(json.loads(json.dumps(doc)))
     with pytest.raises(ValueError, match=r"^invalid plan: double prime 11 is not 1 mod 6$"):
         GroupModel(plan)
-    assert round_trip_report(plan) == {
+    assert round_trip_report(plan) == reference_round_trip_report(plan) == {
         "schema": "solvgraph.verify/1",
         "plan_valid": False,
         "digraph_matches": False,
@@ -220,8 +273,61 @@ def test_sigma_prime_limit():
 
 def test_brute_force_examples():
     assert _single_arc_model().brute_force_prime_graph().edges == frozenset()
-    two = _trivial_model("uv").brute_force_prime_graph()
+    trivial = _trivial_model("uv")
+    assert trivial.k_factors == ()  # K is the trivial group
+    two = trivial.brute_force_prime_graph()
     assert {frozenset(e) for e in two.edges} == {frozenset(("2", "3"))}
+
+
+def test_brute_force_matches_structural_on_sweep():
+    """On every sweep model within the cap, the oracle recomputes the
+    structural prime graph, and the earlier oracle agrees."""
+    models = _oracle_models()
+    assert len(models) == 188
+    for m in models:
+        enumerated = m.brute_force_prime_graph()
+        assert enumerated == m.compute_prime_graph()
+        assert enumerated == reference_brute_force_prime_graph(m)
+
+
+def test_sieved_k_orders_match_k_order():
+    """The cyclic-subgroup sieve gives k_order on every K element of every
+    sweep model within the cap."""
+    total = 0
+    for m in _oracle_models():
+        elements = list(product(*(range(p) for _, p, _ in m.k_factors)))
+        assert m._k_orders() == {k: m.k_order(k) for k in elements}
+        total += len(elements)
+    assert total == 4426
+
+
+def test_oracle_k_multiply_count(monkeypatch):
+    """Over the sweep models within the cap, the oracle walks each cyclic
+    subgroup of K once (k_order for every element made 96,493 calls)."""
+    models = _oracle_models()
+    calls = 0
+    k_multiply = GroupModel.k_multiply
+
+    def counted(self, k1, k2):
+        nonlocal calls
+        calls += 1
+        return k_multiply(self, k1, k2)
+
+    monkeypatch.setattr(GroupModel, "k_multiply", counted)
+    for m in models:
+        m.brute_force_prime_graph()
+    assert calls == 9093
+
+
+def test_digraph_matches_the_arc_list_construction():
+    """On every sweep model, the out-mask digraph equals the earlier one
+    built from the arc list: vertex order, out-masks and underlying rows."""
+    for _, plan in sweep_plans(6):
+        m = GroupModel(plan)
+        digraph, expected = m.compute_frobenius_digraph(), reference_frobenius_digraph(m)
+        assert digraph.vertices == expected.vertices
+        assert digraph.out_rows == expected.out_rows
+        assert digraph.underlying.rows == expected.underlying.rows
 
 
 def test_brute_force_matches_structural_on_pentagon_model():
@@ -262,6 +368,23 @@ def test_element_shape_checks():
         ):
             with pytest.raises(ValueError, match="element shape does not match the model"):
                 call()
+
+
+def test_element_rejects_unknown_keys():
+    """On a -> b, a is the K vertex and b the module; each dict refuses a
+    key of the other kind, and keys that are no vertex at all."""
+    m = _single_arc_model()
+    with pytest.raises(ValueError, match=r"^'b' is not a K vertex of the model$"):
+        m.element({"b": 1}, {"a": (1,)})
+    with pytest.raises(ValueError, match=r"^'b' is not a K vertex of the model$"):
+        m.element({"b": 1}, {})
+    with pytest.raises(ValueError, match=r"^'z' is not a K vertex of the model$"):
+        m.element({"z": 1}, {})
+    with pytest.raises(ValueError, match=r"^'a' is not a module vertex of the model$"):
+        m.element({}, {"a": (1,)})
+    with pytest.raises(ValueError, match=r"^'z' is not a module vertex of the model$"):
+        m.element({"a": 1}, {"z": (1,)})
+    assert m.element({"a": 1}, {"b": (1,)}) != m.identity()
 
 
 def test_power_agrees_with_repeated_multiplication():
