@@ -3,9 +3,10 @@ the derived vertex sets used by the minimal-graph theory.
 
 Vertices split into sources O (zero in-degree, nonzero out-degree),
 doubles D (both degrees nonzero), and sinks I (zero out-degree, isolated
-vertices included).  On top of the partition sit Pi (sinks with a
-nonempty 2-in-neighborhood), Phi (the remaining sinks), and the four
-source subsets built from O1(p) = 1-in-neighbors of p inside O.
+vertices included), read from the Orientation's role masks.  On top of
+the partition sit Pi (sinks with a nonempty 2-in-neighborhood), Phi (the
+remaining sinks), and the four source subsets built from O1(p) =
+1-in-neighbors of p inside O.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import LabeledGraph, Orientation, cycle_graph, isomorphic, labels_at, mask_ring
+from .graphs import LabeledGraph, Orientation, _bits, cycle_graph, isomorphic, labels_at, mask_ring
 from .realizability import validate_frobenius_orientation
 
 
@@ -65,10 +66,8 @@ def analyze(o: Orientation) -> DigraphAnalysis:
         raise ValueError(f"orientation is not valid: {violations[0].kind}")
     vs = o.vertices
     into = o.in_rows
-    sinks = [i for i, out in enumerate(o.out_rows) if not out]
-    i_mask = sum(1 << i for i in sinks)
-    d_mask = sum(1 << i for i, near in enumerate(into) if near) & ~i_mask
-    o_mask = ((1 << len(vs)) - 1) & ~(i_mask | d_mask)
+    o_mask, d_mask, i_mask = o.sources, o.doubles, o.sinks
+    sinks = list(_bits(i_mask))
     # the 2-in-neighborhood of each vertex of Pi, which lies inside the sinks
     n2 = {i: far for i in sinks if (far := mask_ring(into, i, 2))}
     pi_mask = sum(1 << i for i in n2)

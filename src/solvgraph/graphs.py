@@ -124,7 +124,10 @@ def _bits(mask: int):
 class Orientation:
     """A direction for every edge of an underlying simple graph, stored as
     out-masks: ``out_rows[i]`` is the bit mask of the out-neighbours of
-    ``vertices[i]``.  ``arcs`` and the in-masks ``in_rows`` are derived.
+    ``vertices[i]``.  ``arcs``, the in-masks ``in_rows`` and the role
+    partition are derived: the masks ``sinks`` (no out-arcs, isolated
+    vertices included), ``doubles`` (out- and in-arcs) and ``sources``
+    (out-arcs only).
     """
 
     underlying: LabeledGraph
@@ -141,7 +144,9 @@ class Orientation:
             if out[j] >> i & 1:
                 raise ValueError(f"edge {{{u!r}, {v!r}}} oriented twice")
             out[i] |= 1 << j
-        if sum(row.bit_count() for row in out) != len(underlying.edges):
+        # each underlying edge sets a bit in the rows of both its ends
+        edges = sum(row.bit_count() for row in underlying.rows) // 2
+        if sum(row.bit_count() for row in out) != edges:
             raise ValueError("arcs must cover every underlying edge exactly once")
         object.__setattr__(self, "underlying", underlying)
         object.__setattr__(self, "out_rows", tuple(out))
@@ -162,6 +167,18 @@ class Orientation:
     def in_rows(self) -> tuple[int, ...]:
         # every underlying edge at a vertex points either out or in
         return tuple(row & ~out for row, out in zip(self.underlying.rows, self.out_rows))
+
+    @cached_property
+    def sinks(self) -> int:
+        return sum(1 << i for i, out in enumerate(self.out_rows) if not out)
+
+    @cached_property
+    def doubles(self) -> int:
+        return sum(1 << i for i, into in enumerate(self.in_rows) if into) & ~self.sinks
+
+    @cached_property
+    def sources(self) -> int:
+        return (1 << len(self.out_rows)) - 1 & ~(self.sinks | self.doubles)
 
     @cached_property
     def arcs(self) -> frozenset[tuple[str, str]]:
@@ -578,16 +595,16 @@ def canonical_form(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) 
     return _canonical_g6_cached(n, g.rows)
 
 
-def canonical_graph(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) -> LabeledGraph:
+def canonical_graph(g: LabeledGraph) -> LabeledGraph:
     """Canonically labeled representative of g's isomorphism class."""
-    n, rows = rows_from_g6_bytes(canonical_form(g, max_vertices))
+    n, rows = rows_from_g6_bytes(canonical_form(g))
     return LabeledGraph.from_rows(tuple(map(str, range(n))), rows)
 
 
-def isomorphic(g: LabeledGraph, h: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) -> bool:
+def isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     if g.n != h.n or sum(r.bit_count() for r in g.rows) != sum(r.bit_count() for r in h.rows):
         return False
-    return canonical_form(g, max_vertices) == canonical_form(h, max_vertices)
+    return canonical_form(g) == canonical_form(h)
 
 
 @lru_cache(maxsize=200_000)

@@ -103,10 +103,12 @@ def _enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
     from .graphs import enumerate_graphs
 
     found: list[tuple[bytes, LabeledGraph]] = []
+    # Every candidate is realizable, so is_minimal's own verdict is the
+    # only one needed: its complement is triangle-free on at most 9
+    # vertices, hence 3-colourable (the smallest triangle-free graph that
+    # is not, Grötzsch's, has 11).
     for t in enumerate_graphs(n, triangle_free=True):
         g = complement(t)
-        if not is_solvable_prime_graph(g).realizable:
-            continue
         if is_minimal(g).minimal:
             found.append((canonical_form(g), g))
     found.sort(key=lambda pair: pair[0])

@@ -25,8 +25,8 @@ from math import gcd
 
 from . import modmat
 from .errors import LimitExceeded
-from .graphs import LabeledGraph, Orientation, complement
-from .synthesis import GroupPlan, estimate_order, vertex_roles
+from .graphs import LabeledGraph, Orientation, complement, labels_at
+from .synthesis import GroupPlan, estimate_order
 
 SIGMA_PRIME_LIMIT = 12
 BRUTE_FORCE_CAP = 2_000_000
@@ -61,15 +61,14 @@ class GroupModel:
             raise ValueError(f"invalid plan: {plan.problems[0]}")
         self.plan = plan
         o = plan.orientation
-        role = vertex_roles(o)
         self.k_factors: tuple[tuple[str, int, str], ...] = tuple(
-            (v, plan.prime_of[v], r) for v, r in role.items() if r != "I"
+            (v, plan.prime_of[v], "O" if o.sources >> i & 1 else "D")
+            for i, v in enumerate(o.vertices)
+            if not o.sinks >> i & 1
         )
         self.k_exponents = dict(plan.k_actions)
         factors = []
-        for v in o.vertices:
-            if role[v] != "I":
-                continue
+        for v in labels_at(o.vertices, o.sinks):
             if v in plan.modules:
                 spec = plan.modules[v]
                 factors.append(
@@ -252,11 +251,10 @@ class GroupModel:
                 total *= f.prime
         return total
 
-    def iterative_order(self, x: GroupElement, limit: int | None = None) -> int:
+    def iterative_order(self, x: GroupElement) -> int:
         """Order by repeated multiplication; the slow cross-check for order()."""
         self._check_shape(x)
-        if limit is None:
-            limit = self.group_order()
+        limit = self.group_order()
         identity = self.identity()
         rhos = [self.rho(j, x.k) for j in range(len(self.modules))]
         primes = [f.prime for f in self.modules]

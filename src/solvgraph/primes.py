@@ -44,20 +44,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_prime(modulus: int, residue: int, used: set[int], cap: int) -> int:
-    """Smallest prime p <= cap with p % modulus == residue and p not in used.
+def smallest_prime(modulus: int, used: set[int], cap: int) -> int:
+    """Smallest prime p <= cap with p = 1 (mod modulus) and p not in used.
 
-    ``modulus=1`` (with ``residue=0``) degenerates to "smallest unused
-    prime".  Raises LimitExceeded when the search passes ``cap``, which
-    signals a pathological congruence demand rather than a routine
-    failure.
+    ``modulus=1`` degenerates to "smallest unused prime".  Raises
+    LimitExceeded when the search passes ``cap``, which signals a
+    pathological congruence demand rather than a routine failure.
     """
-    candidate = residue if residue > 1 else residue + modulus
+    candidate = modulus + 1
     while candidate <= cap:
         if candidate not in used and is_prime(candidate):
             return candidate
         candidate += modulus
-    what = "prime" if modulus == 1 else f"prime p = {residue} (mod {modulus})"
+    what = "prime" if modulus == 1 else f"prime p = 1 (mod {modulus})"
     raise LimitExceeded(f"no unused {what} below {cap}")
 
 

@@ -163,7 +163,7 @@ def _least_cycle(o: Orientation) -> tuple[str, ...] | None:
 
 def _least_directed_3_path(o: Orientation) -> tuple[str, ...] | None:
     out = o.out_rows
-    inner = sum(1 << i for i, row in enumerate(out) if row)  # not sinks
+    inner = ~o.sinks
     # paths are visited in lexicographic position order: the first is least;
     # the vertices are distinct once d != a, as no edge points both ways
     for a, row in enumerate(out):

@@ -25,12 +25,13 @@ matrices commute.  validate_plan checks all of this independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import modmat
 from .formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC, DEFAULT_PRIME_CAP
-from .graphs import Orientation, labels_at, mask_ring, orientation_from_arcs
+from .graphs import Orientation, _bits, labels_at, mask_ring, orientation_from_arcs
 from .primes import elements_of_order, is_prime, smallest_prime
 from .realizability import validate_frobenius_orientation
 
@@ -67,13 +68,11 @@ class GroupPlan:
         return tuple(validate_plan(self))
 
 
-def vertex_roles(o: Orientation) -> dict[str, str]:
-    """Each vertex's role in vertex order, as in analysis.analyze: "I" sink
-    (no out-arcs), else "D" double (with in-arcs) or "O" source (without)."""
-    return {
-        v: "I" if not out else "D" if into else "O"
-        for v, out, into in zip(o.vertices, o.out_rows, o.in_rows)
-    }
+def _k_arcs(o: Orientation) -> list[tuple[str, str]]:
+    """The source-to-double arcs, which carry the action exponents, in
+    the order of sorted_arcs."""
+    vs = o.vertices
+    return [(vs[i], vs[j]) for i in _bits(o.sources) for j in _bits(o.out_rows[i] & o.doubles)]
 
 
 def phi_sets(o: Orientation, v: str) -> tuple[frozenset[str], frozenset[str]]:
@@ -83,7 +82,7 @@ def phi_sets(o: Orientation, v: str) -> tuple[frozenset[str], frozenset[str]]:
     two distances cannot coincide.
     """
     i = o.underlying.position(v)
-    if o.out_rows[i]:
+    if not o.sinks >> i & 1:
         raise ValueError(f"vertex {v!r} has outgoing arcs; phi sets need a sink")
     into = o.in_rows
     return (
@@ -111,33 +110,25 @@ def select_primes(
         raise ValueError(f"orientation is not valid: {violations[0].kind}")
     if congruence not in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
         raise ValueError(f"unknown congruence mode {congruence!r}")
-    role = vertex_roles(o)
+    vs = o.vertices
     assigned: dict[str, int] = {}
     used: set[int] = set()
 
     def take(modulus: int) -> int:
-        p = smallest_prime(modulus, 1 % modulus, used, cap)
+        p = smallest_prime(modulus, used, cap)
         used.add(p)
         return p
 
-    o_product = 1
-    for v in o.vertices:
-        if role[v] == "O":
-            assigned[v] = take(1)
-            o_product *= assigned[v]
-
     def in_product(i: int) -> int:
-        modulus = 1
-        for u in labels_at(o.vertices, o.in_rows[i]):
-            modulus *= assigned[u]
-        return modulus
+        return math.prod(assigned[u] for u in labels_at(vs, o.in_rows[i]))
 
-    for i, v in enumerate(o.vertices):
-        if role[v] == "D":
-            assigned[v] = take(o_product if congruence == CONGRUENCE_GLOBAL else in_product(i))
-    for i, v in enumerate(o.vertices):
-        if not o.out_rows[i]:  # a sink: its modulus is over the 1-in-neighborhood
-            assigned[v] = take(in_product(i))
+    for i in _bits(o.sources):
+        assigned[vs[i]] = take(1)
+    o_product = math.prod(assigned.values())  # the sources are all assigned so far
+    for i in _bits(o.doubles):
+        assigned[vs[i]] = take(o_product if congruence == CONGRUENCE_GLOBAL else in_product(i))
+    for i in _bits(o.sinks):  # the modulus is over the 1-in-neighborhood
+        assigned[vs[i]] = take(in_product(i))
     return assigned
 
 
@@ -150,40 +141,6 @@ def build_k_action(p: int, q: int) -> int:
             # order divides the prime p and is not 1
             return e
     raise ValueError(f"no element of order {p} mod {q}")
-
-
-def _b_generator_data(
-    o: Orientation,
-    phi1: list[str],
-    phi2: list[str],
-    primes: dict[str, int],
-    k_actions: dict[tuple[str, str], int],
-) -> tuple[int, dict[str, int], dict[str, int]]:
-    """Dimension d, shift amounts for B-generators, conjugation exponents.
-
-    B is cyclic of order d, the product of the 2-in-neighborhood primes;
-    its canonical generator b is the product of the per-vertex
-    generators.  shift[s] is the basis rotation realizing the generator
-    of vertex s, and conj[w] is the exponent by which b conjugates the
-    cyclic factor of a 1-in-neighbor w.
-    """
-    d = 1
-    for s in phi2:
-        d *= primes[s]
-    shift: dict[str, int] = {}
-    for s in phi2:
-        p_s = primes[s]
-        rest = d // p_s
-        # 1 mod p_s, 0 mod the complementary part
-        shift[s] = (pow(rest, -1, p_s) * rest) % d if d > 1 else 0
-    conj: dict[str, int] = {}
-    for w in phi1:
-        p_w = primes[w]
-        e = 1
-        for s in phi2:
-            e = e * k_actions.get((s, w), 1) % p_w
-        conj[w] = e
-    return d, shift, conj
 
 
 def build_module(
@@ -203,18 +160,20 @@ def build_module(
     phi1 = [u for u in o.vertices if u in phi1_set]
     phi2 = [u for u in o.vertices if u in phi2_set]
     r = primes[v]
-    m = 1
-    for w in phi1:
-        m *= primes[w]
+    m = math.prod(primes[w] for w in phi1)
     if (r - 1) % m != 0:
         raise ValueError(f"module prime {r} is not 1 mod {m}")
-    d, shift, conj = _b_generator_data(o, phi1, phi2, primes, k_actions)
+    # B is cyclic of order d, the product of the 2-in-neighborhood primes;
+    # its canonical generator b is the product of the per-vertex generators
+    d = math.prod(primes[s] for s in phi2)
     lam = next(elements_of_order(m, tuple(primes[w] for w in phi1), r))
     action: dict[str, modmat.Monomial] = {}
     for w in phi1:
         p_w = primes[w]
         lam_w = pow(lam, m // p_w, r)
-        inv = pow(conj[w], -1, p_w)
+        # b conjugates the cyclic factor of w by the product of the exponents
+        conj = math.prod(k_actions.get((s, w), 1) for s in phi2)
+        inv = pow(conj, -1, p_w)
         diag = []
         exponent = 1
         for _ in range(d):
@@ -222,7 +181,11 @@ def build_module(
             exponent = exponent * inv % p_w
         action[w] = (tuple(range(d)), tuple(diag))
     for s in phi2:
-        action[s] = (tuple((j + shift[s]) % d for j in range(d)), (1,) * d)
+        # the basis rotation realizing the generator of s: 1 mod p_s, 0 mod
+        # the complementary part of d
+        rest = d // primes[s]
+        shift = pow(rest, -1, primes[s]) * rest % d
+        action[s] = (tuple((j + shift) % d for j in range(d)), (1,) * d)
     return ModuleSpec(characteristic=r, dimension=d, generator_action=action)
 
 
@@ -272,9 +235,7 @@ def verify_module(
     # and g**m is the identity.  If a power g**k with 0 < k < m fixes a
     # vector, so does g**gcd(k, m), and with it g**(m/p) for a prime p
     # dividing m: those powers are the only ones to test.
-    m = 1
-    for w in phi1:
-        m *= plan.prime_of[w]
+    m = math.prod(plan.prime_of[w] for w in phi1)
     generator = identity
     for w in phi1_list:
         generator = modmat.multiply(generator, mats[w], r)
@@ -290,9 +251,10 @@ def verify_module(
 
     # The double matrices all lie in the 1-in-neighborhood, so they
     # commute already; the source matrices may also act through phi2.
-    role = vertex_roles(plan.orientation)
-    u_actors = sorted(w for w in phi1 if role[w] == "D")
-    t_actors = sorted(w for w in phi1 | phi2 if role[w] == "O")
+    o = plan.orientation
+    position = o.underlying.position
+    u_actors = sorted(w for w in phi1 if o.doubles >> position(w) & 1)
+    t_actors = sorted(w for w in phi1 | phi2 if o.sources >> position(w) & 1)
     for i, w in enumerate(t_actors):
         for u in t_actors[i + 1 :]:
             if not modmat.commute(mats[w], mats[u], r):
@@ -324,16 +286,9 @@ def synthesize(
     LimitExceeded when a prime search passes ``prime_cap``.
     """
     primes = select_primes(o, congruence, prime_cap)
-    role = vertex_roles(o)
-    k_actions: dict[tuple[str, str], int] = {}
-    for u, v in o.sorted_arcs():
-        if role[u] == "O" and role[v] == "D":
-            k_actions[(u, v)] = build_k_action(primes[u], primes[v])
-    modules = {
-        v: build_module(o, v, primes, k_actions)
-        for v, out, into in zip(o.vertices, o.out_rows, o.in_rows)
-        if not out and into
-    }
+    vs = o.vertices
+    k_actions = {(u, v): build_k_action(primes[u], primes[v]) for u, v in _k_arcs(o)}
+    modules = {vs[i]: build_module(o, vs[i], primes, k_actions) for i in _bits(o.sinks) if o.in_rows[i]}
     plan = GroupPlan(
         orientation=o,
         prime_of=primes,
@@ -364,9 +319,9 @@ def validate_plan(plan: GroupPlan) -> list[str]:
     o = plan.orientation
     if validate_frobenius_orientation(o):
         return ["orientation fails validation"]
-    role = vertex_roles(o)
+    vs = o.vertices
     values = list(plan.prime_of.values())
-    if sorted(plan.prime_of) != sorted(o.vertices):
+    if sorted(plan.prime_of) != sorted(vs):
         problems.append("prime map does not cover the vertex set")
         return problems
     if len(set(values)) != len(values):
@@ -377,22 +332,15 @@ def validate_plan(plan: GroupPlan) -> list[str]:
     if plan.congruence not in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
         problems.append(f"unknown congruence mode {plan.congruence!r}")
     if plan.congruence == CONGRUENCE_GLOBAL:
-        o_product = 1
-        for v in o.vertices:
-            if role[v] == "O":
-                o_product *= plan.prime_of[v]
-        for v in o.vertices:
-            if role[v] == "D" and plan.prime_of[v] % o_product != 1 % o_product:
+        o_product = math.prod(plan.prime_of[v] for v in labels_at(vs, o.sources))
+        for v in labels_at(vs, o.doubles):
+            if plan.prime_of[v] % o_product != 1 % o_product:
                 problems.append(f"double prime {plan.prime_of[v]} is not 1 mod {o_product}")
-    expected_actions = set()
-    for u, v in o.sorted_arcs():
-        if role[u] == "O" and role[v] == "D":
-            expected_actions.add((u, v))
-            if plan.prime_of[v] % plan.prime_of[u] != 1:
-                problems.append(
-                    f"arc {u!r}->{v!r}: {plan.prime_of[v]} is not 1 mod {plan.prime_of[u]}"
-                )
-    if set(plan.k_actions) != expected_actions:
+    expected_actions = _k_arcs(o)
+    for u, v in expected_actions:
+        if plan.prime_of[v] % plan.prime_of[u] != 1:
+            problems.append(f"arc {u!r}->{v!r}: {plan.prime_of[v]} is not 1 mod {plan.prime_of[u]}")
+    if set(plan.k_actions) != set(expected_actions):
         problems.append("action exponents do not match the source-to-double arcs")
     for (u, v), e in plan.k_actions.items():
         if (u, v) not in expected_actions:
@@ -400,25 +348,22 @@ def validate_plan(plan: GroupPlan) -> list[str]:
         p, q = plan.prime_of[u], plan.prime_of[v]
         if not 1 < e < q or pow(e, p, q) != 1 or e % q == 1:
             problems.append(f"exponent {e} for {u!r}->{v!r} has wrong order")
-    for v, out, into in zip(o.vertices, o.out_rows, o.in_rows):
-        if not out and into and v not in plan.modules:
+    for i in _bits(o.sinks):
+        v, into = vs[i], o.in_rows[i]
+        if into and v not in plan.modules:
             problems.append(f"sink {v!r} is missing a module")
-        if not out and not into and v in plan.modules:
+        if not into and v in plan.modules:
             problems.append(f"isolated sink {v!r} should be a plain cyclic factor")
     for v, spec in plan.modules.items():
-        if role[v] != "I":
+        if not o.sinks >> o.underlying.position(v) & 1:
             problems.append(f"module on {v!r}, which is not a sink")
             continue
         if not is_prime(spec.characteristic):
             problems.append(f"module characteristic {spec.characteristic} for {v!r} is not prime")
             continue
         phi1, phi2 = phi_sets(o, v)
-        m = 1
-        for w in phi1:
-            m *= plan.prime_of[w]
-        d = 1
-        for s in phi2:
-            d *= plan.prime_of[s]
+        m = math.prod(plan.prime_of[w] for w in phi1)
+        d = math.prod(plan.prime_of[s] for s in phi2)
         if (spec.characteristic - 1) % m != 0:
             problems.append(f"module prime {spec.characteristic} is not 1 mod {m}")
         if spec.characteristic != plan.prime_of[v]:

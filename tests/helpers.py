@@ -20,6 +20,11 @@ the same graphs and reports.
 reference_validate, reference_analyze and reference_phi_sets are the
 earlier orientation algorithms on dicts of neighbour sets built from the
 arcs; the mask versions must reproduce their witnesses and sets exactly.
+reference_roles is the source/double/sink partition by the same route,
+and reference_validate_plan and reference_verify_module are the earlier
+plan self-check, which read that partition as a role dict; the
+Orientation's role masks and validate_plan must reproduce their verdicts
+and problem lists exactly.
 """
 
 from __future__ import annotations
@@ -46,8 +51,11 @@ from solvgraph import (
 )
 from solvgraph.analysis import DigraphAnalysis
 from solvgraph.errors import LimitExceeded
+from solvgraph.formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC
 from solvgraph.model import BRUTE_FORCE_CAP, GroupModel
-from solvgraph.realizability import OrientationViolation
+from solvgraph.primes import is_prime
+from solvgraph.realizability import OrientationViolation, validate_frobenius_orientation
+from solvgraph.synthesis import phi_sets
 from solvgraph import modmat
 from solvgraph.modmat import to_rows
 
@@ -817,6 +825,146 @@ def reference_phi_sets(o: Orientation, v: str) -> tuple[frozenset[str], frozense
     if any(v in sources for sources in into.values()):
         raise ValueError(f"vertex {v!r} has outgoing arcs; phi sets need a sink")
     return reference_ring(into, v, 1), reference_ring(into, v, 2)
+
+
+def reference_roles(o: Orientation) -> dict[str, str]:
+    """Each vertex's role in vertex order: "I" sink (no out-arcs), else
+    "D" double (with in-arcs) or "O" source (without)."""
+    out = reference_out_neighbors(o)
+    into = reference_in_neighbors(o)
+    return {v: "I" if not out[v] else "D" if into[v] else "O" for v in o.vertices}
+
+
+def reference_verify_module(
+    plan: GroupPlan,
+    v: str,
+    phi1: frozenset[str],
+    phi2: frozenset[str],
+) -> list[str]:
+    spec = plan.modules[v]
+    r = spec.characteristic
+    d = spec.dimension
+    if set(spec.generator_action) != phi1 | phi2:
+        return [f"acting vertices {sorted(spec.generator_action)} do not match the in-neighborhoods"]
+    mats = spec.generator_action
+    for w, mat in mats.items():
+        if len(mat[0]) != d:
+            return [f"matrix for {w!r} has wrong shape"]
+    identity = modmat.identity(d)
+    problems = []
+    for w, mat in mats.items():
+        p_w = plan.prime_of[w]
+        if mat == identity:
+            problems.append(f"matrix for {w!r} is the identity")
+        elif not modmat.power_is_identity(mat, p_w, r):
+            problems.append(f"matrix for {w!r} does not have order {p_w}")
+    phi1_list = sorted(phi1)
+    for i, w in enumerate(phi1_list):
+        for u in phi1_list[i + 1 :]:
+            if not modmat.commute(mats[w], mats[u], r):
+                problems.append(f"matrices for {w!r} and {u!r} do not commute")
+    if problems:
+        return problems
+    m = 1
+    for w in phi1:
+        m *= plan.prime_of[w]
+    generator = identity
+    for w in phi1_list:
+        generator = modmat.multiply(generator, mats[w], r)
+    if modmat.has_fixed_vector(generator, r, [m // plan.prime_of[w] for w in phi1_list]):
+        problems.append("fixed point in the span of the 1-in-neighborhood action")
+    for s in sorted(phi2):
+        if not modmat.has_fixed_vector(mats[s], r):
+            problems.append(f"no fixed space for any power of the matrix of {s!r}")
+    if problems:
+        return problems
+    role = reference_roles(plan.orientation)
+    u_actors = sorted(w for w in phi1 if role[w] == "D")
+    t_actors = sorted(w for w in phi1 | phi2 if role[w] == "O")
+    for i, w in enumerate(t_actors):
+        for u in t_actors[i + 1 :]:
+            if not modmat.commute(mats[w], mats[u], r):
+                problems.append(f"module {v!r}: matrices of {w!r} and {u!r} must commute")
+    for s in t_actors:
+        for w in u_actors:
+            e = plan.k_actions.get((s, w), 1)
+            twisted = modmat.multiply(modmat.power(mats[w], e, r), mats[s], r)
+            if modmat.multiply(mats[s], mats[w], r) != twisted:
+                problems.append(
+                    f"module {v!r}: conjugation by {s!r} disagrees with the "
+                    f"exponent action on {w!r}"
+                )
+    return problems
+
+
+def reference_validate_plan(plan: GroupPlan) -> list[str]:
+    problems: list[str] = []
+    o = plan.orientation
+    if validate_frobenius_orientation(o):
+        return ["orientation fails validation"]
+    role = reference_roles(o)
+    values = list(plan.prime_of.values())
+    if sorted(plan.prime_of) != sorted(o.vertices):
+        problems.append("prime map does not cover the vertex set")
+        return problems
+    if len(set(values)) != len(values):
+        problems.append("primes are not distinct")
+    not_prime = [f"{p} (vertex {v!r}) is not prime" for v, p in plan.prime_of.items() if not is_prime(p)]
+    if not_prime:
+        return problems + not_prime
+    if plan.congruence not in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
+        problems.append(f"unknown congruence mode {plan.congruence!r}")
+    if plan.congruence == CONGRUENCE_GLOBAL:
+        o_product = 1
+        for v in o.vertices:
+            if role[v] == "O":
+                o_product *= plan.prime_of[v]
+        for v in o.vertices:
+            if role[v] == "D" and plan.prime_of[v] % o_product != 1 % o_product:
+                problems.append(f"double prime {plan.prime_of[v]} is not 1 mod {o_product}")
+    expected_actions = set()
+    for u, v in o.sorted_arcs():
+        if role[u] == "O" and role[v] == "D":
+            expected_actions.add((u, v))
+            if plan.prime_of[v] % plan.prime_of[u] != 1:
+                problems.append(
+                    f"arc {u!r}->{v!r}: {plan.prime_of[v]} is not 1 mod {plan.prime_of[u]}"
+                )
+    if set(plan.k_actions) != expected_actions:
+        problems.append("action exponents do not match the source-to-double arcs")
+    for (u, v), e in plan.k_actions.items():
+        if (u, v) not in expected_actions:
+            continue
+        p, q = plan.prime_of[u], plan.prime_of[v]
+        if not 1 < e < q or pow(e, p, q) != 1 or e % q == 1:
+            problems.append(f"exponent {e} for {u!r}->{v!r} has wrong order")
+    for v, out, into in zip(o.vertices, o.out_rows, o.in_rows):
+        if not out and into and v not in plan.modules:
+            problems.append(f"sink {v!r} is missing a module")
+        if not out and not into and v in plan.modules:
+            problems.append(f"isolated sink {v!r} should be a plain cyclic factor")
+    for v, spec in plan.modules.items():
+        if role[v] != "I":
+            problems.append(f"module on {v!r}, which is not a sink")
+            continue
+        if not is_prime(spec.characteristic):
+            problems.append(f"module characteristic {spec.characteristic} for {v!r} is not prime")
+            continue
+        phi1, phi2 = phi_sets(o, v)
+        m = 1
+        for w in phi1:
+            m *= plan.prime_of[w]
+        d = 1
+        for s in phi2:
+            d *= plan.prime_of[s]
+        if (spec.characteristic - 1) % m != 0:
+            problems.append(f"module prime {spec.characteristic} is not 1 mod {m}")
+        if spec.characteristic != plan.prime_of[v]:
+            problems.append(f"module prime for {v!r} disagrees with the prime map")
+        if spec.dimension != d:
+            problems.append(f"module for {v!r} has dimension {spec.dimension}, expected {d}")
+        problems.extend(reference_verify_module(plan, v, phi1, phi2))
+    return problems
 
 
 def random_orientations(seed: int, count: int = 600):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -14,6 +15,9 @@ from helpers import (
     pentagon_orientation,
     random_orientations,
     reference_phi_sets,
+    reference_roles,
+    reference_validate_plan,
+    sweep_plans,
 )
 from solvgraph import (
     build_k_action,
@@ -26,9 +30,12 @@ from solvgraph import (
     plan_to_json_dict,
     select_primes,
     synthesize,
+    validate_frobenius_orientation,
     validate_plan,
 )
+from solvgraph import modmat
 from solvgraph.errors import LimitExceeded
+from solvgraph.graphs import labels_at
 from solvgraph.modmat import to_rows
 from solvgraph.primes import is_prime, smallest_prime
 
@@ -69,14 +76,24 @@ def test_phi_sets_disjoint_on_validated_orientations():
 
 
 def test_vertex_roles_are_the_analysis_partition():
+    """The Orientation's role masks partition the vertices as the plain
+    definition on neighbour-set dicts does, on the sweep and on random
+    orientations, cyclic ones included; on the sweep they are analyze's
+    O, D and I."""
     from solvgraph import analyze
-    from solvgraph.synthesis import vertex_roles
 
+    def classes(o):
+        return [frozenset(labels_at(o.vertices, m)) for m in (o.sources, o.doubles, o.sinks)]
+
+    cyclic = 0
+    for o in orientation_sweep() + tuple(random_orientations(11)):
+        role = reference_roles(o)
+        assert classes(o) == [{v for v, r in role.items() if r == kind} for kind in "ODI"]
+        cyclic += any(x.kind == "cycle" for x in validate_frobenius_orientation(o))
+    assert cyclic == 176
     for o in orientation_sweep():
-        role, a = vertex_roles(o), analyze(o)
-        assert list(role) == list(o.vertices)
-        for kind, expected in (("O", a.o_set), ("D", a.d_set), ("I", a.i_set)):
-            assert {v for v, r in role.items() if r == kind} == expected
+        a = analyze(o)
+        assert classes(o) == [a.o_set, a.d_set, a.i_set]
 
 
 def test_select_primes_global_mode():
@@ -153,7 +170,7 @@ def test_select_primes_are_smallest_admissible():
 
 def test_prime_search_cap():
     with pytest.raises(LimitExceeded):
-        smallest_prime(10**7, 1, set(), cap=10**5)
+        smallest_prime(10**7, set(), cap=10**5)
 
 
 def test_build_k_action_examples():
@@ -321,3 +338,79 @@ def test_validate_plan_reports_each_module_rejection():
     assert _corrupted(path, "v", a=[[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == [
         "matrices for 'a' and 'c' do not commute"
     ]
+
+
+# sha256 over the sweep of each plan's sorted-key JSON, one line per plan
+PLAN_BYTES = {
+    "global": "ba87bdbec302da09cba3754768f4338dd1582cbfe4e4cfbbb5ca033524177013",
+    "per-arc": "e6a2a436e8d88ed4d222afc901517d3cf579e8aabea8b555972813dee0da9cb5",
+}
+
+
+def test_plan_bytes_over_the_sweep_are_pinned():
+    plans = {
+        "global": [synthesize(o) for o in orientation_sweep()],
+        "per-arc": [plan for _, plan in sweep_plans()],
+    }
+    for mode, pin in PLAN_BYTES.items():
+        digest = hashlib.sha256()
+        for plan in plans[mode]:
+            digest.update(json.dumps(plan_to_json_dict(plan), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == pin, mode
+
+
+def _one_field_corruptions(plan, k: int):
+    """Copies of a plan's document with one field changed each: a module
+    matrix squared, a module dropped or moved to a vertex without one, a
+    k-action exponent set to 1 or its arc reversed, two primes swapped,
+    a prime made composite, an arc reversed, the congruence mode flipped.
+    Where a plan offers many choices of one kind, k picks one."""
+    doc = plan_to_json_dict(plan)
+
+    def changed(edit) -> dict:
+        new = json.loads(json.dumps({key: value for key, value in doc.items() if key != "modules"}))
+        new["modules"] = {v: {**body, "actions": dict(body["actions"])} for v, body in doc["modules"].items()}
+        edit(new)
+        return new
+
+    def pick(seq):
+        return seq[k % len(seq)]
+
+    vertices = doc["vertices"]
+    if plan.modules:
+        v = pick(sorted(plan.modules))
+        spec = plan.modules[v]
+        w, mat = pick(sorted(spec.generator_action.items()))
+        rows = [list(row) for row in to_rows(modmat.multiply(mat, mat, spec.characteristic))]
+        yield changed(lambda d: d["modules"][v]["actions"].update({w: rows}))
+        yield changed(lambda d: d["modules"].pop(v))
+        u = pick([u for u in vertices if u not in plan.modules])
+        yield changed(lambda d: d["modules"].update({u: d["modules"].pop(v)}))
+    for i, item in enumerate(doc["k_actions"]):
+        yield changed(lambda d, i=i: d["k_actions"][i].update(exponent=1))
+        yield changed(lambda d, i=i, item=item: d["k_actions"][i].update(actor=item["target"], target=item["actor"]))
+    if len(vertices) > 1:
+        u, v = pick(list(zip(vertices, vertices[1:])))
+        yield changed(lambda d: d["primes"].update({u: d["primes"][v], v: d["primes"][u]}))
+    v = pick(vertices)
+    yield changed(lambda d: d["primes"].update({v: str(4 * int(d["primes"][v]))}))
+    if doc["arcs"]:
+        i = pick(range(len(doc["arcs"])))
+        yield changed(lambda d: d["arcs"][i].reverse())
+    flipped = "global" if doc["congruence"] == "per-arc" else "per-arc"
+    yield changed(lambda d: d.update(congruence=flipped))
+
+
+def test_validate_plan_matches_the_reference_on_corrupted_plans():
+    """Problem lists, order included, against the earlier self-check that
+    read the roles from a dict, on every per-arc sweep plan corrupted one
+    field at a time through JSON."""
+    corrupted = with_problems = 0
+    for k, (_, plan) in enumerate(sweep_plans()):
+        for doc in _one_field_corruptions(plan, k):
+            broken = plan_from_json_dict(doc)
+            problems = validate_plan(broken)
+            assert problems == reference_validate_plan(broken)
+            corrupted += 1
+            with_problems += bool(problems)
+    assert corrupted > 3000 and with_problems > 500, (corrupted, with_problems)
