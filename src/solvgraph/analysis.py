@@ -11,15 +11,13 @@ remaining sinks), and the four source subsets built from O1(p) =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import LabeledGraph, Orientation, _bits, cycle_graph, isomorphic, labels_at, mask_ring
 from .realizability import validate_frobenius_orientation
 
 
-@dataclass(frozen=True)
-class DigraphAnalysis:
+class DigraphAnalysis(NamedTuple):
     orientation: Orientation
     o_set: frozenset[str]
     d_set: frozenset[str]
@@ -99,8 +97,7 @@ def analyze(o: Orientation) -> DigraphAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class FittingBounds:
+class FittingBounds(NamedTuple):
     low: int
     high: int
     exact: int | None

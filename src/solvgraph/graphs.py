@@ -16,9 +16,10 @@ function, so concurrent reads are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import FormatError, LimitExceeded
 
@@ -29,8 +30,40 @@ CANONICAL_VERTEX_BOUND = 10
 COLOR_NODE_BOUND = 1_000_000
 
 
-@dataclass(frozen=True, init=False)
-class LabeledGraph:
+class Frozen:
+    """Base of the immutable classes that keep derived state: their fields
+    are their own annotated class attributes, in order, which each
+    constructor sets with ``object.__setattr__``.  Instances compare equal
+    only within one class, hash over their fields, and repr as
+    ``Name(field=value, ...)``; assignment and deletion raise
+    AttributeError.  ``cached_property`` still works: it writes to the
+    instance dict directly.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LabeledGraph(Frozen):
     """Undirected simple graph: ordered vertex labels plus adjacency rows.
 
     ``rows[i]`` is the bit mask of the neighbours of ``vertices[i]``.  No
@@ -120,8 +153,7 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-@dataclass(frozen=True, init=False)
-class Orientation:
+class Orientation(Frozen):
     """A direction for every edge of an underlying simple graph, stored as
     out-masks: ``out_rows[i]`` is the bit mask of the out-neighbours of
     ``vertices[i]``.  ``arcs``, the in-masks ``in_rows`` and the role
@@ -200,8 +232,7 @@ def labels_at(vertices: tuple[str, ...], mask: int) -> list[str]:
     return [vertices[i] for i in _bits(mask)]
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Map from vertex label to color index 0..k-1."""
 
     assignment: dict[str, int]

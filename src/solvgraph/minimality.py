@@ -9,9 +9,9 @@ so the definition is read over existing edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .analysis import analyze
 from .errors import LimitExceeded
@@ -29,8 +29,7 @@ from .graphs import (
 from .realizability import is_solvable_prime_graph, orient_from_coloring
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     minimal: bool
     failing_edge: tuple[str, str] | None
     connectivity_ok: bool
@@ -142,8 +141,7 @@ def canonical_orientation(g: LabeledGraph) -> Orientation:
     return orient_from_coloring(co, coloring)
 
 
-@dataclass(frozen=True)
-class MinimalLemmaReport:
+class MinimalLemmaReport(NamedTuple):
     complement_not_2_colorable: bool
     no_complement_singletons: bool
     has_induced_c5: bool

@@ -19,9 +19,9 @@ and compared against the plan's orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from . import modmat
 from .errors import LimitExceeded
@@ -32,16 +32,14 @@ SIGMA_PRIME_LIMIT = 12
 BRUTE_FORCE_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """K-part exponents plus one coordinate vector per module factor."""
 
     k: tuple[int, ...]
     mods: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class _ModuleFactor:
+class _ModuleFactor(NamedTuple):
     vertex: str
     prime: int
     dim: int

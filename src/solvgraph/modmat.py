@@ -41,11 +41,16 @@ def from_rows(rows, r: int) -> Monomial:
 
 
 def to_rows(a: Monomial) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _dense_rows(a)))
+
+
+def _dense_rows(a: Monomial) -> list[list[int]]:
+    """The row-major matrix of a as fresh lists (the plan JSON form)."""
     perm, scale = a
     rows = [[0] * len(perm) for _ in perm]
     for j, i in enumerate(perm):
         rows[i][j] = scale[j]
-    return tuple(map(tuple, rows))
+    return rows
 
 
 def identity(dim: int) -> Monomial:

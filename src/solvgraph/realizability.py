@@ -9,9 +9,9 @@ succinct certificate, so the verdict records the search node count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import (
     INFINITE_GIRTH,
@@ -33,14 +33,12 @@ VIOLATION_TRIANGLE = "triangle-in-complement"
 VIOLATION_NOT_3_COLORABLE = "complement-not-3-colorable"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     vertices: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
+class RealizabilityVerdict(NamedTuple):
     realizable: bool
     certificate: Coloring | None
     violation: Violation | None
@@ -111,8 +109,7 @@ def orient_from_coloring(f: LabeledGraph, coloring: Coloring) -> Orientation:
     return Orientation.from_out_rows(f, [row & above[c] for row, c in zip(f.rows, colors)])
 
 
-@dataclass(frozen=True)
-class OrientationViolation:
+class OrientationViolation(NamedTuple):
     kind: str  # "cycle" | "directed-3-path" | "triangle"
     vertices: tuple[str, ...]
 
@@ -181,8 +178,7 @@ EXCEPTIONAL = "exceptional"
 NOT_REALIZABLE = "not-realizable"
 
 
-@dataclass(frozen=True)
-class GirthClassification:
+class GirthClassification(NamedTuple):
     status: str  # GIRTH_3 | EXCEPTIONAL | NOT_REALIZABLE
     kind: str | None = None  # "C4" | "C5" | "forest-1".."forest-7"
 

@@ -26,20 +26,19 @@ matrices commute.  validate_plan checks all of this independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import modmat
 from .formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC, DEFAULT_PRIME_CAP
-from .graphs import Orientation, _bits, labels_at, mask_ring, orientation_from_arcs
+from .graphs import Frozen, Orientation, _bits, labels_at, mask_ring, orientation_from_arcs
 from .primes import elements_of_order, is_prime, smallest_prime
 from .realizability import validate_frobenius_orientation
 
 PLAN_SCHEMA = "solvgraph.plan/1"
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(NamedTuple):
     """Module over a prime field with one action matrix per acting vertex.
 
     Matrices are monomial, held as ``(perm, scale)`` pairs over the field
@@ -52,8 +51,7 @@ class ModuleSpec:
     generator_action: dict[str, modmat.Monomial]
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(Frozen):
     """Recipe for an orientation's group.  It is not modified after it is
     built, so ``problems``, its validate_plan verdict, is kept."""
 
@@ -62,6 +60,13 @@ class GroupPlan:
     k_actions: dict[tuple[str, str], int]
     modules: dict[str, ModuleSpec]
     congruence: str
+
+    def __init__(self, orientation, prime_of, k_actions, modules, congruence):
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "prime_of", prime_of)
+        object.__setattr__(self, "k_actions", k_actions)
+        object.__setattr__(self, "modules", modules)
+        object.__setattr__(self, "congruence", congruence)
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -355,6 +360,9 @@ def validate_plan(plan: GroupPlan) -> list[str]:
         if not into and v in plan.modules:
             problems.append(f"isolated sink {v!r} should be a plain cyclic factor")
     for v, spec in plan.modules.items():
+        if v not in vs:  # a plan built in code may name anything
+            problems.append(f"module on {v!r}, which is not a vertex")
+            continue
         if not o.sinks >> o.underlying.position(v) & 1:
             problems.append(f"module on {v!r}, which is not a sink")
             continue
@@ -399,7 +407,7 @@ def plan_to_json_dict(plan: GroupPlan) -> dict:
                 "characteristic": str(spec.characteristic),
                 "dimension": spec.dimension,
                 "actions": {
-                    w: [list(row) for row in modmat.to_rows(mat)]
+                    w: modmat._dense_rows(mat)
                     for w, mat in sorted(spec.generator_action.items(), key=lambda kv: position(kv[0]))
                 },
             }

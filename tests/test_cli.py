@@ -356,12 +356,16 @@ def _python(*args: str, stdin: bytes = b"", **env: str) -> subprocess.CompletedP
 
 def test_cli_import_leaves_numpy_out():
     """Importing the CLI loads no library module, each verb only the
-    modules it runs, and nothing loads numpy."""
+    modules it runs, and nothing loads numpy, dataclasses or inspect."""
     data = ROOT / "perfbench" / "data"
     heavy = {f"solvgraph.{m}" for m in ("analysis", "minimality", "synthesis", "model", "modmat", "primes")}
+    stdlib = {"dataclasses", "inspect"}
 
     def loaded_after(code: str) -> set[str]:
-        report = "import json, sys; print(json.dumps([m for m in sys.modules if m.startswith(('solvgraph', 'numpy'))]))"
+        report = (
+            "import json, sys; print(json.dumps([m for m in sys.modules"
+            f" if m.startswith(('solvgraph', 'numpy')) or m in {sorted(stdlib)!r}]))"
+        )
         done = _python("-c", f"{code}\n{report}")
         assert done.returncode == 0, done.stderr
         return set(json.loads(done.stdout.splitlines()[-1]))
@@ -378,6 +382,10 @@ def test_cli_import_leaves_numpy_out():
     assert "solvgraph.synthesis" in synthesize
     assert "solvgraph.analysis" not in synthesize | verify
     assert "numpy" not in check | verify
+    library = (ROOT / "src" / "solvgraph").glob("[!_]*.py")
+    every = loaded_after("".join(f"import solvgraph.{p.stem}\n" for p in library))
+    assert heavy <= every
+    assert not stdlib & (check | verify | synthesize | every)
 
 
 def test_stdin_is_decoded_like_files(tmp_path):

@@ -243,6 +243,34 @@ def test_invalid_plan_gets_no_model():
     }
 
 
+def test_module_on_a_non_vertex_is_a_plan_problem():
+    """A plan built in code, past plan_from_json_dict's name checks, with a
+    module keyed by a label that is not a vertex: the self-check reports
+    it, so GroupModel refuses the plan and the round trip calls it
+    invalid."""
+    from solvgraph import GroupPlan, validate_plan
+
+    good = synthesize(pentagon_orientation())
+    plan = GroupPlan(
+        good.orientation,
+        good.prime_of,
+        good.k_actions,
+        {**good.modules, "zz": good.modules["p4"]},
+        good.congruence,
+    )
+    assert validate_plan(plan) == ["module on 'zz', which is not a vertex"]
+    assert plan.problems == ("module on 'zz', which is not a vertex",)
+    with pytest.raises(ValueError, match=r"^invalid plan: module on 'zz', which is not a vertex$"):
+        GroupModel(plan)
+    assert round_trip_report(plan) == {
+        "schema": "solvgraph.verify/1",
+        "plan_valid": False,
+        "digraph_matches": False,
+        "prime_graph_matches": False,
+        "group_order": estimate_order(good),
+    }
+
+
 def test_digraph_of_single_arc_model():
     m = _single_arc_model()
     assert set(m.compute_frobenius_digraph().arcs) == {("2", "3")}
