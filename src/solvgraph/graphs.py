@@ -553,21 +553,32 @@ def is_connected(g: LabeledGraph) -> bool:
 
 def g6_bytes_from_rows(n: int, rows) -> bytes:
     """Pack adjacency rows into graph6 bytes (n <= 62)."""
+    columns = [0] * n
+    for j in range(1, n):
+        col = 0
+        for i in range(j):
+            col = col << 1 | rows[i] >> j & 1
+        columns[j] = col
+    return g6_bytes_from_columns(n, columns)
+
+
+def g6_bytes_from_columns(n: int, columns) -> bytes:
+    """Pack upper-triangle columns into graph6 bytes (n <= 62).
+
+    columns[j] holds the pairs (i, j), i < j, as j bits with i = 0 at the
+    high bit: graph6's own bit order, so the body is their concatenation.
+    """
     if n > 62:
         raise LimitExceeded("graph6 emitter supports at most 62 vertices")
-    out = [n + 63]
-    bits = []
+    body = 0
     for j in range(1, n):
-        for i in range(j):
-            bits.append(rows[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        value = 0
-        for b in bits[i : i + 6]:
-            value = value << 1 | b
-        out.append(value + 63)
-    return bytes(out)
+        body = body << j | columns[j]
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    body <<= pad
+    return bytes(
+        [n + 63] + [(body >> shift & 63) + 63 for shift in range(nbits + pad - 6, -1, -6)]
+    )
 
 
 def rows_from_g6_bytes(data: bytes) -> tuple[int, tuple[int, ...]]:
@@ -615,8 +626,11 @@ def canonical_form(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) 
     branch-and-bound search over ordered cells of open inner order
     (McKay's ordered partitions): independent vertices with the same placed
     neighbours join one cell, in ascending order, instead of branching
-    over their orders.  Partial upper-triangle comparison bounds the
-    search, and a twin of a tried vertex is skipped.
+    over their orders.  The least encoding opens with a largest
+    independent set (graph6 columns 1 ... alpha-1 are zero, alpha the
+    independence number), so the search starts from each such set as one
+    cell and never builds a smaller one.  Partial upper-triangle
+    comparison bounds the search, and a twin of a tried vertex is skipped.
     """
     n = g.n
     if n > max_vertices:
@@ -655,9 +669,17 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
     # colbits[c] follows the cells: col << 1 | adjacency when no cell
     # splits, one more position in the last segment on a join, and a
     # recount from the cells after a split.
+    #
+    # An all-zero column is the least of its width, so the least encoding
+    # opens with a largest independent set S: columns 1 ... alpha-1 are
+    # zero (alpha = |S|, the independence number) and column alpha is not.
+    # The members of S have no placed neighbours, so S is one cell; the
+    # search starts at depth alpha from the cell S, once for each S that
+    # _largest_independent_sets lists.
     best: list[int] | None = None
     generation = 0
-    columns: list[int] = []
+    shift = n.bit_length()  # candidates sort as col << shift | cand
+    low = (1 << shift) - 1
 
     adjacent = [[row >> i & 1 for i in range(n)] for row in rows]
     twins = [0] * n  # twins[u]: the vertices w with the same neighbours as u, u and w aside
@@ -665,8 +687,10 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
         if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
             twins[u] |= 1 << w
             twins[w] |= 1 << u
+    starts = _largest_independent_sets(rows, twins)
+    columns = [0] * starts[0].bit_count()
 
-    def rec(cells: list[int], placed: int, colbits, equals_best: bool) -> None:
+    def rec(cells: list[int], placed: int, free: list[int], colbits, equals_best: bool) -> None:
         nonlocal best, generation
         depth = len(columns)
         if depth == n:
@@ -674,7 +698,6 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                 best = columns.copy()
                 generation += 1
             return
-        free = [cand for cand in range(n) if not placed >> cand & 1]
         if colbits is None:
             colbits = [0] * n
             sizes = [cell.bit_count() for cell in cells]
@@ -684,13 +707,20 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                 for cell, size in zip(cells, sizes):
                     col = col << size | (1 << (row & cell).bit_count()) - 1
                 colbits[cand] = col
-        scored = sorted([(colbits[cand], cand) for cand in free])
+        last = cells[-1]
+        if best is not None and equals_best:
+            limit = best[depth]
+            keys = [colbits[cand] << shift | cand for cand in free if colbits[cand] <= limit]
+        else:
+            keys = [colbits[cand] << shift | cand for cand in free]
+        keys.sort()
         singletons = len(cells) == depth
-        last = cells[-1] if cells else 0
         last_row = rows[(last & -last).bit_length() - 1] & placed
         tried = 0
         local_generation = generation
-        for col, cand in scored:
+        for key in keys:
+            col = key >> shift
+            cand = key & low
             if generation != local_generation:
                 # a deeper call improved best, which now extends our prefix
                 equals_best = True
@@ -705,16 +735,16 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                 continue
             tried |= 1 << cand
             row = rows[cand]
-            if last and row & placed == last_row:
+            if row & placed == last_row:
                 if 1 << cand < last:
                     continue  # the branch placing cand first covers it; it stays tried
                 child = cells[:-1]
                 child.append(last | 1 << cand)
                 # the last segment becomes 0^(s+1-t-a) 1^(t+a), a = adjacency to cand
                 s = last.bit_count()
-                low = (1 << s) - 1
+                segment = (1 << s) - 1
                 child_bits = [
-                    bits >> s << s + 1 | (bits & low) << a | a
+                    bits >> s << s + 1 | (bits & segment) << a | a
                     for bits, a in zip(colbits, adjacent[cand])
                 ]
             else:
@@ -727,20 +757,52 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                     child_bits = [bits << 1 | a for bits, a in zip(colbits, adjacent[cand])]
                 else:
                     child_bits = None
+            child_free = free.copy()
+            child_free.remove(cand)
             columns.append(col)
-            rec(child, placed | 1 << cand, child_bits, child_equals)
+            rec(child, placed | 1 << cand, child_free, child_bits, child_equals)
             columns.pop()
 
-    rec([], 0, [0] * n, False)
+    for start in starts:
+        free = [cand for cand in range(n) if not start >> cand & 1]
+        rec([start], start, free, None, best is not None)
     assert best is not None
-    out_rows = [0] * n
-    for j in range(1, n):
-        col = best[j]
-        for i in range(j):
-            if col >> (j - 1 - i) & 1:
-                out_rows[i] |= 1 << j
-                out_rows[j] |= 1 << i
-    return g6_bytes_from_rows(n, out_rows)
+    return g6_bytes_from_columns(n, best)
+
+
+def _largest_independent_sets(rows: tuple[int, ...], twins: list[int]) -> list[int]:
+    """The largest independent sets, as bit masks, built in ascending order.
+
+    A vertex is skipped where a twin (``twins[v]``) was tried before it in
+    the same place: swapping the two is an automorphism fixing the set so
+    far, so the sets it leads to are images of sets already listed.
+    """
+    found: list[int] = []
+    most = 0
+
+    def grow(chosen: int, size: int, open_: int) -> None:
+        nonlocal most
+        if not open_:
+            if size > most:
+                most = size
+                found.clear()
+            if size == most:
+                found.append(chosen)
+            return
+        tried = 0
+        while open_ and size + open_.bit_count() >= most:
+            bit = open_ & -open_
+            open_ ^= bit
+            v = bit.bit_length() - 1
+            if twins[v] & tried:
+                continue
+            tried |= bit
+            grow(chosen | bit, size + 1, open_ & ~rows[v])
+            if not rows[v] & open_:
+                break  # a set of the later vertices alone leaves room for v
+
+    grow(0, 0, (1 << len(rows)) - 1)
+    return found
 
 
 # -- exhaustive generation up to isomorphism -------------------------------

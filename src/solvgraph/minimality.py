@@ -49,7 +49,9 @@ def is_minimal(g: LabeledGraph) -> MinimalityReport:
     """Minimality report for a realizable graph.
 
     failing_edge is the first edge in lexicographic order whose removal
-    leaves a realizable graph; its presence refutes minimality.
+    leaves a realizable graph; its presence refutes minimality.  An edge
+    whose endpoints share a neighbour in the complement is passed over
+    without a verdict: removing it puts a triangle in the complement.
     """
     if not is_solvable_prime_graph(g).realizable:
         raise ValueError("graph is not realizable; minimality is undefined")
@@ -57,7 +59,13 @@ def is_minimal(g: LabeledGraph) -> MinimalityReport:
     connectivity_ok = is_connected(g)
     failing_edge = None
     if nontrivial_ok and connectivity_ok:
+        rows = g.rows
+        full = (1 << g.n) - 1
         for u, v in g.sorted_edges():
+            if full & ~(rows[g.position(u)] | rows[g.position(v)]):
+                # u and v have a common neighbour in the complement, where
+                # the edge uv closes a triangle
+                continue
             if is_solvable_prime_graph(without_edge(g, u, v)).realizable:
                 failing_edge = (u, v)
                 break

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     grotzsch,
+    maximal_triangle_free,
     oracle_canonical_g6,
     oracle_colorable,
     oracle_girth,
     oracle_has_triangle,
     oracle_lex_least_coloring,
+    oracle_max_clique,
     planted_three_colorable,
     random_graph,
     reference_lex_least_coloring,
@@ -290,6 +292,87 @@ def test_canonical_form_is_least_over_all_relabelings():
     ]
     for g in named:
         assert canonical_form(g) == oracle_canonical_g6(g)
+
+
+def largest_independent_sets(g: LabeledGraph) -> list[set[str]]:
+    """Every independent set of the largest size, by subset scan."""
+    for size in range(g.n, 0, -1):
+        found = [
+            set(subset)
+            for subset in combinations(g.vertices, size)
+            if not any(g.has_edge(u, v) for u, v in combinations(subset, 2))
+        ]
+        if found:
+            return found
+    return [set()]
+
+
+def first_outside_largest_independent_sets(g: LabeledGraph, rng) -> LabeledGraph | None:
+    """g relabeled with a vertex that lies in no largest independent set
+    first and the others shuffled; None when every vertex lies in one."""
+    covered = set().union(*largest_independent_sets(g))
+    outside = [v for v in g.vertices if v not in covered]
+    if not outside:
+        return None
+    rest = [v for v in g.vertices if v != outside[0]]
+    rng.shuffle(rest)
+    return LabeledGraph([outside[0]] + rest, g.edges)
+
+
+def test_canonical_form_is_least_when_vertex_0_is_in_no_largest_independent_set():
+    # the least encoding opens with a largest independent set, so the
+    # first vertex of the input order is a poor start on these graphs
+    rng = random.Random(16)
+    checked = 0
+    samples = enumerate_graphs(7, triangle_free=True)[::2]
+    samples += enumerate_graphs(8, triangle_free=True)[::60]
+    for g in samples:
+        h = first_outside_largest_independent_sets(g, rng)
+        if h is not None:
+            assert canonical_form(h) == oracle_canonical_g6(h) == canonical_form(g)
+            checked += 1
+    assert checked == 45
+    dense = [complement(maximal_triangle_free(rng, 8)) for _ in range(3)]
+    dense.append(complement(LabeledGraph("abcdefgh", [(u, v) for u in "abcd" for v in "efgh"])))
+    for g in dense:
+        assert oracle_max_clique(complement(g)) <= 2
+        h = relabeled(g, rng)
+        assert canonical_form(h) == oracle_canonical_g6(h) == canonical_form(g)
+
+
+def leading_zero_columns(form: bytes) -> int:
+    """How many of graph6 columns 1, 2, ... are zero before the first
+    nonzero one; column j holds the j bits of the pairs (i, j), i < j."""
+    n = form[0] - 63
+    bits = "".join(format(byte - 63, "06b") for byte in form[1:])[: n * (n - 1) // 2]
+    if "1" not in bits:
+        return max(n - 1, 0)
+    first, column = bits.index("1"), 1
+    while column * (column + 1) // 2 <= first:
+        column += 1
+    return column - 1
+
+
+def test_canonical_form_opens_with_a_largest_independent_set():
+    rng = random.Random(61)
+    samples = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    samples += [random_graph(rng, rng.randrange(8, 11), rng.random()) for _ in range(150)]
+    for g in samples:
+        alpha = oracle_max_clique(complement(g))
+        assert leading_zero_columns(canonical_form(g)) == alpha - 1, g
+
+
+def test_canonical_form_is_invariant_under_relabeling_on_11_and_12_vertices():
+    rng = random.Random(1112)
+    for n in (11, 12):
+        for k in range(40):
+            g = random_graph(rng, n, k / 39)
+            form = canonical_form(g, max_vertices=12)
+            for _ in range(2):
+                assert canonical_form(relabeled(g, rng), max_vertices=12) == form
+            assert canonical_form(relabeled(complement(g), rng), max_vertices=12) == (
+                canonical_form(complement(g), max_vertices=12)
+            )
 
 
 @st.composite

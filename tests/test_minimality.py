@@ -22,7 +22,7 @@ from solvgraph import (
     isomorphic,
     linked_vertex_duplication,
 )
-from solvgraph.graphs import without_edge
+from solvgraph.graphs import is_connected, without_edge
 from solvgraph.minimality import (
     canonical_orientation,
     check_minimal_lemmas,
@@ -59,6 +59,25 @@ def test_disconnected_graph_not_minimal():
     g = LabeledGraph("abcd", [("a", "b"), ("c", "d")])
     report = is_minimal(g)
     assert not report.minimal and not report.connectivity_ok
+
+
+def test_failing_edge_matches_the_verdict_on_every_edge():
+    # is_minimal passes over edges whose endpoints share a neighbour in the
+    # complement; here every edge gets its full verdict
+    for n in range(1, 9):
+        for t in enumerate_graphs(n, triangle_free=True):
+            g = complement(t)
+            expected = None
+            if g.n > 1 and is_connected(g):
+                expected = next(
+                    (
+                        (u, v)
+                        for u, v in g.sorted_edges()
+                        if is_solvable_prime_graph(without_edge(g, u, v)).realizable
+                    ),
+                    None,
+                )
+            assert is_minimal(g).failing_edge == expected, t
 
 
 def test_duplication_examples():
