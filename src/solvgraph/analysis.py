@@ -30,26 +30,6 @@ class DigraphAnalysis(NamedTuple):
     o2: frozenset[str]
     o2_star: frozenset[str]
 
-    def to_json_dict(self) -> dict:
-        order = {v: i for i, v in enumerate(self.orientation.vertices)}
-
-        def ordered(vs) -> list[str]:
-            return sorted(vs, key=order.get)
-
-        return {
-            "schema": "solvgraph.analysis/1",
-            "o": ordered(self.o_set),
-            "d": ordered(self.d_set),
-            "i": ordered(self.i_set),
-            "pi": ordered(self.pi_set),
-            "phi": ordered(self.phi_set),
-            "o1_of": {v: ordered(s) for v, s in sorted(self.o1_of.items(), key=lambda kv: order[kv[0]])},
-            "o1": ordered(self.o1),
-            "o1_star": ordered(self.o1_star),
-            "o2": ordered(self.o2),
-            "o2_star": ordered(self.o2_star),
-        }
-
 
 def analyze(o: Orientation) -> DigraphAnalysis:
     """Compute the full analysis of a validated orientation.

@@ -1,5 +1,9 @@
 """Command-line surface: stable text and JSON adapters over the library.
 
+It writes the check, validate, girth, minimal, analysis and sigma JSON
+documents, each section from its record's ``_asdict()``; the plan/1 and
+verify/1 documents come from the library.
+
 Exit codes: 0 success, 1 negative verdict (not realizable, not minimal,
 failed validation), 2 malformed input or usage, 3 internal limit hit.
 Graph arguments are file paths or ``-`` for stdin; edge-list and graph6
@@ -18,8 +22,9 @@ from .errors import FormatError, LimitExceeded
 # Each verb imports the library modules it calls, so that a process
 # running one verb compiles and loads only those.
 if TYPE_CHECKING:
-    from .graphs import LabeledGraph
+    from .analysis import DigraphAnalysis
     from .model import GroupModel
+    from .realizability import RealizabilityVerdict
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -56,8 +61,38 @@ def _read(path: str) -> str:
     return data.decode("utf-8")
 
 
+def _document(name: str, body: dict) -> dict:
+    """body as the solvgraph.<name>/1 document: the schema key first."""
+    return {"schema": f"solvgraph.{name}/1", **body}
+
+
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
+
+
+def check_document(verdict: RealizabilityVerdict) -> dict:
+    """The check/1 document: search_nodes before the coloring, sorted by
+    vertex; a violation's vertices a list, empty for an exhausted search."""
+    coloring, violation = verdict.certificate, verdict.violation
+    if coloring is not None:
+        coloring = dict(sorted(coloring.assignment.items()))
+    if violation is not None:
+        violation = violation._replace(vertices=list(violation.vertices or ()))._asdict()
+    head = {"realizable": verdict.realizable, "search_nodes": verdict.search_nodes}
+    return _document("check", {**head, "coloring": coloring, "violation": violation})
+
+
+def analysis_document(a: DigraphAnalysis) -> dict:
+    """The analysis/1 document: a's vertex sets, named by their fields
+    without ``_set`` and listed in vertex order, so the bytes do not
+    depend on the hash seed."""
+    key = {v: i for i, v in enumerate(a.orientation.vertices)}.__getitem__
+    sets = a._asdict()
+    del sets["orientation"]
+    body = {f.removesuffix("_set"): sorted(vs, key=key) for f, vs in sets.items()}
+    # o1_of keeps its place between phi and o1, its keys sorted just above
+    body["o1_of"] = {v: sorted(a.o1_of[v], key=key) for v in body["o1_of"]}
+    return _document("analysis", body)
 
 
 def _cmd_check(args) -> int:
@@ -66,7 +101,7 @@ def _cmd_check(args) -> int:
 
     g = parse_graph_auto(_read(args.graph))
     verdict = is_solvable_prime_graph(g)
-    _emit_json(verdict.to_json_dict())
+    _emit_json(check_document(verdict))
     return EXIT_OK if verdict.realizable else EXIT_NEGATIVE
 
 
@@ -90,14 +125,7 @@ def _cmd_validate(args) -> int:
 
     o = parse_arc_list(_read(args.arcs))
     violations = validate_frobenius_orientation(o)
-    _emit_json(
-        {
-            "schema": "solvgraph.validate/1",
-            "violations": [
-                {"kind": v.kind, "vertices": list(v.vertices)} for v in violations
-            ],
-        }
-    )
+    _emit_json(_document("validate", {"violations": [v._asdict() for v in violations]}))
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 
@@ -107,13 +135,7 @@ def _cmd_classify_girth(args) -> int:
 
     g = parse_graph_auto(_read(args.graph))
     result = classify_girth(g)
-    _emit_json(
-        {
-            "schema": "solvgraph.girth/1",
-            "status": result.status,
-            "kind": result.kind,
-        }
-    )
+    _emit_json(_document("girth", result._asdict()))
     return EXIT_OK if result.status != "not-realizable" else EXIT_NEGATIVE
 
 
@@ -129,35 +151,18 @@ def _cmd_exceptions(_args) -> int:
 
 
 def _cmd_minimal_check(args) -> int:
+    from .analysis import fitting_bounds
     from .formats import parse_graph_auto
     from .minimality import check_minimal_lemmas, is_minimal
 
     g = parse_graph_auto(_read(args.graph))
     report = is_minimal(g)
-    doc = report.to_json_dict()
+    doc = _document("minimal", report._asdict())
     if report.minimal and args.lemmas:
-        lemmas = check_minimal_lemmas(g)
-        doc["lemmas"] = {
-            "complement_not_2_colorable": lemmas.complement_not_2_colorable,
-            "no_complement_singletons": lemmas.no_complement_singletons,
-            "has_induced_c5": lemmas.has_induced_c5,
-            "partition_classes_nonempty": lemmas.partition_classes_nonempty,
-        }
-        doc["fitting_bounds"] = _fitting_doc(g)
+        doc["lemmas"] = check_minimal_lemmas(g)._asdict()
+        doc["fitting_bounds"] = fitting_bounds(g)._asdict()
     _emit_json(doc)
     return EXIT_OK if report.minimal else EXIT_NEGATIVE
-
-
-def _fitting_doc(g: LabeledGraph) -> dict:
-    from .analysis import fitting_bounds
-
-    bounds = fitting_bounds(g)
-    return {
-        "low": bounds.low,
-        "high": bounds.high,
-        "exact": bounds.exact,
-        "note": bounds.note,
-    }
 
 
 def _cmd_minimal_duplicate(args) -> int:
@@ -183,16 +188,8 @@ def _cmd_analyze(args) -> int:
     from .analysis import analyze, sigma_partition_bound
     from .formats import parse_arc_list
 
-    o = parse_arc_list(_read(args.arcs))
-    a = analyze(o)
-    doc = a.to_json_dict()
-    bound = sigma_partition_bound(a)
-    doc["partition_bound"] = {
-        "n_vertices": bound.n_vertices,
-        "bound": bound.bound,
-        "holds": bound.holds,
-    }
-    _emit_json(doc)
+    a = analyze(parse_arc_list(_read(args.arcs)))
+    _emit_json({**analysis_document(a), "partition_bound": sigma_partition_bound(a)._asdict()})
     return EXIT_OK
 
 
@@ -211,7 +208,12 @@ def _cmd_synthesize(args) -> int:
 def _load_plan(path: str):
     from .synthesis import plan_from_json_dict
 
-    return plan_from_json_dict(json.loads(_read(path)))
+    text = _read(path)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise FormatError("plan JSON is nested too deeply") from None
+    return plan_from_json_dict(doc)
 
 
 def _report_problems(plan) -> tuple[str, ...]:
@@ -266,14 +268,8 @@ def _cmd_sigma(args) -> int:
         return EXIT_NEGATIVE
     sigma = model.sigma_of_model()
     count = len(model.primes())
-    _emit_json(
-        {
-            "schema": "solvgraph.sigma/1",
-            "sigma": sigma,
-            "prime_count": count,
-            "within_triple_bound": count <= 3 * sigma,
-        }
-    )
+    body = {"sigma": sigma, "prime_count": count, "within_triple_bound": count <= 3 * sigma}
+    _emit_json(_document("sigma", body))
     return EXIT_OK
 
 

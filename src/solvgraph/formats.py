@@ -128,12 +128,17 @@ def parse_graph_auto(data: bytes | str) -> LabeledGraph:
     """Edge-list or graph6, decided by the shape of the first line.
 
     A line containing whitespace, a ``vertices:`` header, or a comment is
-    edge-list text; otherwise the line is treated as graph6.
+    edge-list text; otherwise the line is treated as graph6, and must be
+    the only meaningful line: graph6 input holds one graph.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    for _, line in _meaningful_lines(text):
-        if line.startswith("vertices:") or any(c.isspace() for c in line.strip()):
+    lines = _meaningful_lines(text)
+    for _, line in lines:
+        if line.startswith("vertices:") or any(c.isspace() for c in line):
             return parse_edge_list(text)
+        second = next(lines, None)
+        if second is not None:
+            raise FormatError("more than one graph6 line; give one graph", second[0])
         return parse_graph6(line)
     # nothing but comments/blanks: an empty edge list would have no vertices
     return parse_edge_list(text)

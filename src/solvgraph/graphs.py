@@ -331,10 +331,6 @@ def find_triangle(g: LabeledGraph) -> tuple[str, str, str] | None:
     return None
 
 
-def is_triangle_free(g: LabeledGraph) -> bool:
-    return find_triangle(g) is None
-
-
 def color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
     """Exact backtracking k-coloring with saturation-degree ordering.
 

@@ -35,15 +35,6 @@ class MinimalityReport(NamedTuple):
     connectivity_ok: bool
     nontrivial_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "solvgraph.minimal/1",
-            "minimal": self.minimal,
-            "failing_edge": list(self.failing_edge) if self.failing_edge else None,
-            "connectivity_ok": self.connectivity_ok,
-            "nontrivial_ok": self.nontrivial_ok,
-        }
-
 
 def is_minimal(g: LabeledGraph) -> MinimalityReport:
     """Minimality report for a realizable graph.

@@ -44,18 +44,6 @@ class RealizabilityVerdict(NamedTuple):
     violation: Violation | None
     search_nodes: int
 
-    def to_json_dict(self) -> dict:
-        coloring, violation = self.certificate, self.violation
-        return {
-            "schema": "solvgraph.check/1",
-            "realizable": self.realizable,
-            "search_nodes": self.search_nodes,
-            "coloring": None if coloring is None else dict(sorted(coloring.assignment.items())),
-            "violation": None
-            if violation is None
-            else {"kind": violation.kind, "vertices": list(violation.vertices or ())},
-        }
-
 
 def is_solvable_prime_graph(g: LabeledGraph) -> RealizabilityVerdict:
     """Realizability verdict with certificate or violation.

@@ -26,6 +26,7 @@ from solvgraph import (
     sigma_partition_bound,
     validate_frobenius_orientation,
 )
+from solvgraph.cli import analysis_document
 
 
 def test_pentagon_analysis():
@@ -51,7 +52,7 @@ def test_analysis_matches_the_reference():
             continue
         a, expected = analyze(o), reference_analyze(o)
         assert a == expected, o.sorted_arcs()
-        assert json.dumps(a.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert json.dumps(analysis_document(a)) == json.dumps(analysis_document(expected))
 
 
 def test_six_prime_example_analysis():
@@ -143,7 +144,7 @@ def test_sigma_partition_bound_examples():
 
 
 def test_analysis_json_is_ordered():
-    doc = analyze(six_prime_example_orientation()).to_json_dict()
+    doc = analysis_document(analyze(six_prime_example_orientation()))
     assert doc["o"] == ["2", "3", "5"]
     assert doc["i"] == ["23", "31"]
     assert doc["schema"] == "solvgraph.analysis/1"

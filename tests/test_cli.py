@@ -298,6 +298,19 @@ def test_plan_module_dimension_is_checked_on_load(tmp_path, capsys):
     _assert_plan_rejected(tmp_path, capsys, doc, "'modules.p4.actions'")
 
 
+def test_deeply_nested_plan_is_input_error(tmp_path, capsys):
+    """JSON nested past the decoder's recursion limit is malformed input,
+    not a negative verdict with a traceback."""
+    path = _write(tmp_path, "plan.json", "[" * 200_000)
+    for verb in ("verify", "prime-graph", "digraph", "sigma"):
+        code = run([verb, path])
+        out, err = capsys.readouterr()
+        assert code == 2, (verb, err)
+        assert out == "" and "nested too deeply" in err and "Traceback" not in err, verb
+    done = _python("-m", "solvgraph.cli", "verify", path)
+    assert done.returncode == 2 and b"Traceback" not in done.stderr
+
+
 def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
     def refused(doc, problem):
         for verb in ("verify", "prime-graph", "digraph", "sigma"):
@@ -388,6 +401,17 @@ def test_cli_import_leaves_numpy_out():
     assert not stdlib & (check | verify | synthesize | every)
 
 
+def test_graph6_input_with_two_graphs_is_input_error():
+    """Piping several graph6 lines into check names the second line
+    instead of judging the first graph alone."""
+    listing = _python("-m", "solvgraph.cli", "minimal", "enumerate", "7")
+    assert listing.returncode == 0 and listing.stdout.count(b"\n") > 1
+    done = _python("-m", "solvgraph.cli", "check", "-", stdin=listing.stdout)
+    second = listing.stdout.index(b"\n") + 1
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr == f"error: more than one graph6 line; give one graph (byte offset {second})\n".encode()
+
+
 def test_stdin_is_decoded_like_files(tmp_path):
     c5 = ROOT / "perfbench" / "data" / "c5.txt"
     done = _python("-m", "solvgraph.cli", "check", "-", stdin=c5.read_bytes())
@@ -442,3 +466,94 @@ def test_cli_verbs_reproduce_golden_outputs(monkeypatch, capsys):
         out = capsys.readouterr().out
         assert code == exits[verb], verb
         assert out.encode() == (golden / f"{verb}.out").read_bytes(), verb
+
+
+def test_record_fields_are_pinned_by_the_json_schemas():
+    """The JSON documents write these records' fields as keys, in order:
+    renaming or reordering a field is a schema change of its document."""
+    from solvgraph.analysis import DigraphAnalysis, FittingBounds, SigmaPartitionBound
+    from solvgraph.minimality import MinimalityReport, MinimalLemmaReport
+    from solvgraph.realizability import GirthClassification, OrientationViolation, Violation
+
+    pinned = {
+        "check/1 violation": (Violation, ("kind", "vertices")),
+        "validate/1 violations": (OrientationViolation, ("kind", "vertices")),
+        "girth/1": (GirthClassification, ("status", "kind")),
+        "minimal/1": (
+            MinimalityReport,
+            ("minimal", "failing_edge", "connectivity_ok", "nontrivial_ok"),
+        ),
+        "minimal/1 lemmas": (
+            MinimalLemmaReport,
+            (
+                "complement_not_2_colorable",
+                "no_complement_singletons",
+                "has_induced_c5",
+                "partition_classes_nonempty",
+            ),
+        ),
+        "minimal/1 fitting_bounds": (FittingBounds, ("low", "high", "exact", "note")),
+        "analysis/1": (
+            DigraphAnalysis,
+            ("orientation", "o_set", "d_set", "i_set", "pi_set", "phi_set")
+            + ("o1_of", "o1", "o1_star", "o2", "o2_star"),
+        ),
+        "analysis/1 partition_bound": (SigmaPartitionBound, ("n_vertices", "bound", "holds")),
+    }
+    for section, (record, fields) in pinned.items():
+        assert record._fields == fields, f"{record.__name__} fields changed: a schema change of {section}"
+
+
+def test_json_documents_open_with_schema_and_follow_record_fields(tmp_path, capsys):
+    """Every JSON verb's document opens with its schema key, and every
+    section written from a record lists that record's fields in order."""
+    from solvgraph.analysis import DigraphAnalysis, FittingBounds, SigmaPartitionBound
+    from solvgraph.minimality import MinimalityReport, MinimalLemmaReport
+    from solvgraph.realizability import GirthClassification, OrientationViolation, Violation
+
+    c5 = _write(tmp_path, "g.txt", C5_EDGES)
+    arcs = _write(tmp_path, "o.txt", PENTAGON_ARCS)
+    plan = _write(tmp_path, "plan.json", json.dumps(_pentagon_plan_doc()))
+
+    def document(name: str, *argv: str) -> dict:
+        run(list(argv))
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc)[0] == "schema" and doc["schema"] == f"solvgraph.{name}/1", argv
+        return doc
+
+    def body(doc: dict) -> list[str]:
+        return list(doc)[1:]
+
+    document("check", "check", c5)
+    document("plan", "synthesize", arcs)
+    document("verify", "verify", plan)
+    document("sigma", "sigma", plan)
+    violation = document("check", "check", _write(tmp_path, "k3.txt", "vertices: a b c\n"))["violation"]
+    assert list(violation) == list(Violation._fields)
+    validate = document("validate", "validate", _write(tmp_path, "p.txt", "a > b\nb > c\nc > d\n"))
+    assert list(validate["violations"][0]) == list(OrientationViolation._fields)
+    assert body(document("girth", "classify-girth", c5)) == list(GirthClassification._fields)
+
+    minimal = document("minimal", "minimal", "check", c5, "--lemmas")
+    assert body(minimal) == [*MinimalityReport._fields, "lemmas", "fitting_bounds"]
+    assert list(minimal["lemmas"]) == list(MinimalLemmaReport._fields)
+    assert list(minimal["fitting_bounds"]) == list(FittingBounds._fields)
+
+    analysis = document("analysis", "analyze", arcs)
+    sets = [field.removesuffix("_set") for field in DigraphAnalysis._fields[1:]]
+    assert body(analysis) == [*sets, "partition_bound"]
+    assert list(analysis["partition_bound"]) == list(SigmaPartitionBound._fields)
+
+
+def test_json_documents_do_not_depend_on_the_hash_seed(tmp_path):
+    """analyze and minimal check --lemmas order their frozensets: the
+    same bytes under two hash seeds."""
+    from helpers import six_prime_example_graph, six_prime_example_orientation
+    from solvgraph import emit_arc_list
+
+    arcs = _write(tmp_path, "o.txt", emit_arc_list(six_prime_example_orientation()))
+    graph = _write(tmp_path, "g.txt", emit_edge_list(six_prime_example_graph()))
+    for argv in (["analyze", arcs], ["minimal", "check", graph, "--lemmas"]):
+        runs = [_python("-m", "solvgraph.cli", *argv, PYTHONHASHSEED=seed) for seed in "01"]
+        assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout, argv

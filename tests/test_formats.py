@@ -128,6 +128,16 @@ def test_auto_detection():
     assert parse_graph_auto(b"D?{\n").n == 5
 
 
+def test_graph6_input_holds_one_graph():
+    assert parse_graph_auto("# one graph\nD?{\n\n# end\n").n == 5
+    for text, second in (("D?{\nD?{\n", 4), ("D?{\n# and\n\nDQc\n", 11), ("D?{\na b\n", 4)):
+        with pytest.raises(FormatError, match="more than one graph6 line") as err:
+            parse_graph_auto(text)
+        assert err.value.offset == second
+    # edge lists keep one edge per line
+    assert parse_graph_auto("a b\nb c\n").n == 3
+
+
 def test_orientation_requires_full_cover():
     g = LabeledGraph("abc", [("a", "b"), ("b", "c")])
     from solvgraph import Orientation

@@ -41,6 +41,7 @@ from solvgraph import (
     path_graph,
     validate_frobenius_orientation,
 )
+from solvgraph.cli import check_document
 from solvgraph.graphs import color_search, with_edge
 from solvgraph.realizability import (
     VIOLATION_NOT_3_COLORABLE,
@@ -273,7 +274,7 @@ def search_inputs(draw):
 def test_search_and_verdict_match_the_reference_search(case):
     g, k = case
     assert color_search(g, k) == reference_color_search(g, k)
-    assert is_solvable_prime_graph(g).to_json_dict() == reference_verdict_document(g)
+    assert check_document(is_solvable_prime_graph(g)) == reference_verdict_document(g)
 
 
 def test_search_and_verdict_match_the_reference_on_large_inputs():
@@ -284,4 +285,4 @@ def test_search_and_verdict_match_the_reference_on_large_inputs():
     for t in (m11, m23, m47, mtf100):
         assert color_search(t, 3) == reference_color_search(t, 3)
         g = complement(t)
-        assert is_solvable_prime_graph(g).to_json_dict() == reference_verdict_document(g)
+        assert check_document(is_solvable_prime_graph(g)) == reference_verdict_document(g)
