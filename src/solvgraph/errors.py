@@ -11,6 +11,7 @@ class FormatError(ValueError):
     """Malformed graph/arc input; carries the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)

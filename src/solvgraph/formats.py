@@ -133,12 +133,17 @@ def parse_graph_auto(data: bytes | str) -> LabeledGraph:
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = _meaningful_lines(text)
-    for _, line in lines:
+    for offset, line in lines:
         if line.startswith("vertices:") or any(c.isspace() for c in line):
             return parse_edge_list(text)
         second = next(lines, None)
         if second is not None:
             raise FormatError("more than one graph6 line; give one graph", second[0])
-        return parse_graph6(line)
+        try:
+            return parse_graph6(line)
+        except FormatError as exc:
+            # parse_graph6 counts from the stripped line; count from the input
+            start = text.encode("utf-8").index(line.encode("ascii"), offset)
+            raise FormatError(exc.reason, start + exc.offset) from None
     # nothing but comments/blanks: an empty edge list would have no vertices
     return parse_edge_list(text)

@@ -549,12 +549,7 @@ def is_connected(g: LabeledGraph) -> bool:
 
 def g6_bytes_from_rows(n: int, rows) -> bytes:
     """Pack adjacency rows into graph6 bytes (n <= 62)."""
-    columns = [0] * n
-    for j in range(1, n):
-        col = 0
-        for i in range(j):
-            col = col << 1 | rows[i] >> j & 1
-        columns[j] = col
+    columns = [sum((rows[i] >> j & 1) << j - 1 - i for i in range(j)) for j in range(n)]
     return g6_bytes_from_columns(n, columns)
 
 
@@ -630,9 +625,7 @@ def canonical_form(g: LabeledGraph, max_vertices: int = CANONICAL_VERTEX_BOUND) 
     """
     n = g.n
     if n > max_vertices:
-        raise LimitExceeded(
-            f"canonical form limited to {max_vertices} vertices (got {n})"
-        )
+        raise LimitExceeded(f"canonical form limited to {max_vertices} vertices (got {n})")
     return _canonical_g6_cached(n, g.rows)
 
 
@@ -650,9 +643,6 @@ def isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
 
 @lru_cache(maxsize=200_000)
 def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
-    if n <= 1:
-        return g6_bytes_from_rows(n, rows)
-
     # Columns are packed into integers, first placed position at the high
     # bit, so integer order equals lexicographic bit order.  The placed
     # vertices form ordered cells (bit masks) of still open inner order; a
@@ -677,12 +667,7 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
     shift = n.bit_length()  # candidates sort as col << shift | cand
     low = (1 << shift) - 1
 
-    adjacent = [[row >> i & 1 for i in range(n)] for row in rows]
-    twins = [0] * n  # twins[u]: the vertices w with the same neighbours as u, u and w aside
-    for u, w in combinations(range(n), 2):
-        if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
-            twins[u] |= 1 << w
-            twins[w] |= 1 << u
+    twins = _twin_masks(rows)
     starts = _largest_independent_sets(rows, twins)
     columns = [0] * starts[0].bit_count()
 
@@ -740,8 +725,8 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                 s = last.bit_count()
                 segment = (1 << s) - 1
                 child_bits = [
-                    bits >> s << s + 1 | (bits & segment) << a | a
-                    for bits, a in zip(colbits, adjacent[cand])
+                    bits >> s << s + 1 | ((bits & segment) << 1 | 1 if row >> i & 1 else bits & segment)
+                    for i, bits in enumerate(colbits)
                 ]
             else:
                 if singletons:
@@ -750,7 +735,7 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                     child = [part for cell in cells for part in (cell & ~row, cell & row) if part]
                     child.append(1 << cand)
                 if len(child) == len(cells) + 1:  # no cell split
-                    child_bits = [bits << 1 | a for bits, a in zip(colbits, adjacent[cand])]
+                    child_bits = [bits << 1 | row >> i & 1 for i, bits in enumerate(colbits)]
                 else:
                     child_bits = None
             child_free = free.copy()
@@ -764,6 +749,18 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
         rec([start], start, free, None, best is not None)
     assert best is not None
     return g6_bytes_from_columns(n, best)
+
+
+def _twin_masks(rows) -> list[int]:
+    """twins[v]: the vertices w != v with the neighbours of v, v and w aside:
+    equal rows, or equal rows plus own bit (no row equals such a row)."""
+    classes: dict[int, int] = {}
+    get = classes.get
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        classes[row] = get(row, 0) | bit
+        classes[row | bit] = get(row | bit, 0) | bit
+    return [(classes[row] | classes[row | 1 << v]) & ~(1 << v) for v, row in enumerate(rows)]
 
 
 def _largest_independent_sets(rows: tuple[int, ...], twins: list[int]) -> list[int]:
@@ -806,41 +803,42 @@ def _largest_independent_sets(rows: tuple[int, ...], twins: list[int]) -> list[i
 
 @lru_cache(maxsize=None)
 def _generated_forms(n: int, triangle_free: bool) -> tuple[bytes, ...]:
-    if n == 0:
-        return (g6_bytes_from_rows(0, ()),)
-    if n == 1:
-        return (g6_bytes_from_rows(1, (0,)),)
-    forms: set[bytes] = set()
-    for parent in _generated_forms(n - 1, triangle_free):
-        pn, prows = rows_from_g6_bytes(parent)
-        # twin pairs (u, w), u < w: swapping them is a parent automorphism
-        twin_pairs = [
-            (u, w)
-            for u, w in combinations(range(pn), 2)
-            if prows[u] & ~(1 << w) == prows[w] & ~(1 << u)
-        ]
-        for mask in range(1 << pn):
-            if triangle_free and any(
-                prows[u] & mask and mask >> u & 1 for u in range(pn)
-            ):
-                continue
-            if any(mask >> w & 1 and not mask >> u & 1 for u, w in twin_pairs):
-                continue
-            rows = list(prows) + [mask]
-            for u in range(pn):
-                if mask >> u & 1:
-                    rows[u] |= 1 << pn
-            degree = [row.bit_count() for row in rows]
-            new = _invariant(rows, degree, pn)
-            if any(_invariant(rows, degree, u) > new for u in range(pn)):
-                continue
-            forms.add(_canonical_g6_cached(n, tuple(rows)))
+    if n <= 1:
+        return (g6_bytes_from_rows(n, (0,) * n),)
+    forms = {
+        _canonical_g6_cached(n, rows)
+        for parent in _generated_forms(n - 1, triangle_free)
+        for rows in _children(rows_from_g6_bytes(parent)[1], triangle_free)
+    }
     return tuple(sorted(forms))
 
 
-def _invariant(rows, degree, v: int) -> tuple:
-    """(degree, sorted neighbour degrees) of vertex v."""
-    return degree[v], sorted(degree[u] for u in range(len(rows)) if rows[v] >> u & 1)
+def _children(rows: tuple[int, ...], triangle_free: bool):
+    """The children enumerate_graphs keeps of a parent, as rows: the
+    parent's plus vertex n = len(rows) on each neighbour set that passes."""
+    n = len(rows)
+    twins = _twin_masks(rows)
+    sets = [0]  # the neighbour sets within vertices 0 ... v-1
+    for v, row in enumerate(rows):
+        needs = twins[v] & (1 << v) - 1  # v joins after all its earlier twins
+        banned = row if triangle_free else 0
+        sets += [s | 1 << v for s in sets if s & needs == needs and not s & banned]
+    degree = [row.bit_count() for row in rows]
+    of_degree = [sum(1 << v for v, d in enumerate(degree) if d == k) for k in range(n + 1)]
+    top = max(degree)
+    for mask in sets:
+        k = mask.bit_count()  # the new vertex's degree
+        if k < top or mask & of_degree[k]:
+            continue  # an old vertex has a larger degree
+        child = [row | (mask >> v & 1) << n for v, row in enumerate(rows)]
+        child.append(mask)
+        ties = of_degree[k] | of_degree[k - 1] & mask  # old vertices of degree k
+        if ties:
+            degrees = [row.bit_count() for row in child]
+            new = sorted(degrees[u] for u in _bits(mask))
+            if any(sorted(degrees[u] for u in _bits(child[v])) > new for v in _bits(ties)):
+                continue
+        yield tuple(child)
 
 
 def enumerate_graphs(n: int, triangle_free: bool = False) -> tuple[LabeledGraph, ...]:
@@ -848,19 +846,20 @@ def enumerate_graphs(n: int, triangle_free: bool = False) -> tuple[LabeledGraph,
 
     Augments each canonical (n-1)-vertex representative by one new vertex
     and deduplicates by canonical form; with ``triangle_free`` the new
-    vertex only attaches to independent sets.  Two tests skip a child
-    before its canonical form is computed (the first steps of McKay's
-    canonical augmentation):
+    vertex only attaches to independent sets.  The neighbour sets are
+    built vertex by vertex, and two tests skip a child before its
+    canonical form is computed (the first steps of McKay's canonical
+    augmentation):
 
-    - twin pruning: when parent vertices u < w are twins, the neighbour
-      set of the new vertex may contain w only if it contains u.  Swapping
-      twins is a parent automorphism, so a skipped child is isomorphic to
-      one that is kept.
+    - twin pruning, inside that build: when parent vertices u < w are
+      twins, the set may take w only if it holds u.  Swapping twins is a
+      parent automorphism, so a skipped child is isomorphic to a kept one.
     - greatest invariant: the child is kept only if no old vertex has a
-      larger (degree, sorted neighbour degrees) than the new vertex.  Both
-      families are closed under induced subgraphs, so every class arises
-      from the parent left by deleting one of its vertices of greatest
-      invariant, with the new vertex in that role.
+      larger (degree, sorted neighbour degrees) than the new vertex.  A
+      degree test runs first; neighbour degrees are sorted on degree ties
+      only.  Both families are closed under induced subgraphs, so every
+      class arises from the parent left by deleting one of its vertices of
+      greatest invariant, with the new vertex in that role.
 
     The result is the same as without them, sorted by canonical form.
     """

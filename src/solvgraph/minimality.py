@@ -46,6 +46,11 @@ def is_minimal(g: LabeledGraph) -> MinimalityReport:
     """
     if not is_solvable_prime_graph(g).realizable:
         raise ValueError("graph is not realizable; minimality is undefined")
+    return _minimality(g)
+
+
+def _minimality(g: LabeledGraph) -> MinimalityReport:
+    """is_minimal's report on a graph already known to be realizable."""
     nontrivial_ok = g.n > 1
     connectivity_ok = is_connected(g)
     failing_edge = None
@@ -101,13 +106,13 @@ def _enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
     from .graphs import enumerate_graphs
 
     found: list[tuple[bytes, LabeledGraph]] = []
-    # Every candidate is realizable, so is_minimal's own verdict is the
-    # only one needed: its complement is triangle-free on at most 9
-    # vertices, hence 3-colourable (the smallest triangle-free graph that
-    # is not, Grötzsch's, has 11).
+    # Every candidate is realizable, so none needs is_minimal's opening
+    # verdict, only the per-edge verdicts of _minimality: its complement is
+    # triangle-free on at most 9 vertices, hence 3-colourable (the smallest
+    # triangle-free graph that is not, Grötzsch's, has 11).
     for t in enumerate_graphs(n, triangle_free=True):
         g = complement(t)
-        if is_minimal(g).minimal:
+        if _minimality(g).minimal:
             found.append((canonical_form(g), g))
     found.sort(key=lambda pair: pair[0])
     return tuple(g for _, g in found)

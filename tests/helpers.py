@@ -20,6 +20,9 @@ the same graphs and reports.
 reference_validate, reference_analyze and reference_phi_sets are the
 earlier orientation algorithms on dicts of neighbour sets built from the
 arcs; the mask versions must reproduce their witnesses and sets exactly.
+reference_children is the earlier augmentation step of enumerate_graphs,
+which scanned every neighbour mask of the new vertex; the recursive
+listing must keep exactly the same children of every parent.
 reference_roles is the source/double/sink partition by the same route,
 and reference_validate_plan and reference_verify_module are the earlier
 plan self-check, which read that partition as a role dict; the
@@ -302,6 +305,39 @@ def unpruned_generation(n: int, triangle_free: bool) -> tuple[LabeledGraph, ...]
                 )
                 children.setdefault(canonical_form(child), child)
     return tuple(canonical_graph(children[form]) for form in sorted(children))
+
+
+def reference_children(rows: tuple[int, ...], triangle_free: bool) -> set[tuple[int, ...]]:
+    """The children enumerate_graphs keeps of a parent, as rows, by the
+    earlier mask scan: every neighbour mask of a new vertex (every
+    independent one, with triangle_free), less those holding a twin w but
+    not its twin u < w, and those giving an old vertex a larger (degree,
+    sorted neighbour degrees) than the new one."""
+    pn = len(rows)
+    twin_pairs = [
+        (u, w)
+        for u, w in combinations(range(pn), 2)
+        if rows[u] & ~(1 << w) == rows[w] & ~(1 << u)
+    ]
+    kept = set()
+    for mask in range(1 << pn):
+        if triangle_free and any(rows[u] & mask and mask >> u & 1 for u in range(pn)):
+            continue
+        if any(mask >> w & 1 and not mask >> u & 1 for u, w in twin_pairs):
+            continue
+        child = list(rows) + [mask]
+        for u in range(pn):
+            if mask >> u & 1:
+                child[u] |= 1 << pn
+        degree = [row.bit_count() for row in child]
+
+        def invariant(v: int) -> tuple:
+            return degree[v], sorted(degree[u] for u in range(pn + 1) if child[v] >> u & 1)
+
+        if any(invariant(u) > invariant(pn) for u in range(pn)):
+            continue
+        kept.add(tuple(child))
+    return kept
 
 
 def edge_rows(g: LabeledGraph) -> list[int]:

@@ -138,6 +138,16 @@ def test_graph6_input_holds_one_graph():
     assert parse_graph_auto("a b\nb c\n").n == 3
 
 
+def test_graph6_errors_in_auto_input_carry_input_offsets():
+    # the offset counts from the start of the input, not of the graph6 line
+    for text, offset in (("# note\nD?", 9), ("  D?", 4), ("\t D?{junk\n", 5), ("# \u00e9\n\u00a0D?", 9)):
+        with pytest.raises(FormatError) as err:
+            parse_graph_auto(text)
+        assert err.value.offset == offset, text
+    with pytest.raises(FormatError, match=r"^truncated graph6 body \(byte offset 9\)$"):
+        parse_graph_auto(b"# note\nD?")
+
+
 def test_orientation_requires_full_cover():
     g = LabeledGraph("abc", [("a", "b"), ("b", "c")])
     from solvgraph import Orientation

@@ -21,6 +21,7 @@ from helpers import (
     oracle_max_clique,
     planted_three_colorable,
     random_graph,
+    reference_children,
     reference_lex_least_coloring,
     relabeled,
     unpruned_generation,
@@ -44,7 +45,16 @@ from solvgraph import (
     path_graph,
 )
 from solvgraph.errors import LimitExceeded
-from solvgraph.graphs import color_search, lex_least_coloring, with_edge, without_edge
+from solvgraph.graphs import (
+    _canonical_g6_cached,
+    _children,
+    _generated_forms,
+    _twin_masks,
+    color_search,
+    lex_least_coloring,
+    with_edge,
+    without_edge,
+)
 
 
 @st.composite
@@ -395,6 +405,36 @@ def test_canonical_form_is_invariant_under_relabeling(pair):
         assert isomorphic(a, b)
 
 
+@st.composite
+def twinned_pairs(draw, max_n=10):
+    """(graph, a random relabeling of it) on up to max_n vertices, grown
+    from a random graph by adding twins, adjacent or not, of its vertices."""
+    rng = draw(st.randoms(use_true_random=False))
+    rows = list(random_graph(rng, draw(st.integers(1, 6)), rng.random()).rows)
+    for new in range(len(rows), draw(st.integers(len(rows), max_n))):
+        v = rng.randrange(new)
+        closed = rng.random() < 0.5
+        rows.append(rows[v] | closed << v)
+        for u in range(new):
+            if rows[new] >> u & 1:
+                rows[u] |= 1 << new
+    g = LabeledGraph.from_rows(tuple(map(str, range(len(rows)))), rows)
+    return g, relabeled(g, rng)
+
+
+@given(twinned_pairs())
+@settings(max_examples=200, deadline=None)
+def test_twin_masks_match_the_pairwise_definition(pair):
+    g, h = pair
+    for rows in (g.rows, h.rows):
+        pairwise = [
+            sum(1 << w for w in range(len(rows)) if w != u and rows[u] & ~(1 << w) == rows[w] & ~(1 << u))
+            for u in range(len(rows))
+        ]
+        assert _twin_masks(rows) == pairwise
+    assert canonical_form(g) == canonical_form(h)
+
+
 def test_canonical_form_distinguishes_degree_sequences():
     rng = random.Random(99)
     checked = 0
@@ -431,6 +471,23 @@ def test_enumeration_matches_unpruned_augmentation():
         assert enumerate_graphs(n, triangle_free=True) == unpruned_generation(n, True)
     for n in range(7):
         assert enumerate_graphs(n) == unpruned_generation(n, False)
+
+
+def test_augmentation_keeps_the_children_of_the_mask_scan():
+    for triangle_free, top in ((False, 7), (True, 8)):
+        for n in range(1, top + 1):
+            for parent in enumerate_graphs(n, triangle_free):
+                children = list(_children(parent.rows, triangle_free))
+                assert len(set(children)) == len(children)
+                assert set(children) == reference_children(parent.rows, triangle_free), parent
+
+
+def test_generation_up_to_8_triangle_free_makes_724_canonical_calls():
+    # pins the pruning: weaker twin or invariant tests make more calls
+    _generated_forms.cache_clear()
+    _canonical_g6_cached.cache_clear()
+    enumerate_graphs(8, triangle_free=True)
+    assert _canonical_g6_cached.cache_info().misses == 724
 
 
 def test_triangle_free_classes_are_pairwise_non_isomorphic_by_networkx():
