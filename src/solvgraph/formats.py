@@ -111,9 +111,16 @@ def emit_arc_list(o: Orientation) -> str:
 
 
 def parse_graph6(data: bytes | str) -> LabeledGraph:
-    """Decode one graph6 line; vertex labels are decimal positions."""
+    """Decode one graph6 line; vertex labels are decimal positions.
+
+    Text is read as its UTF-8 bytes, so a non-ASCII character is a
+    FormatError at the byte offset where its encoding starts.
+    """
     if isinstance(data, str):
-        data = data.encode("ascii")
+        data = data.encode("utf-8")
+        if not data.isascii():
+            at = next(i for i, byte in enumerate(data) if byte > 127)
+            raise FormatError(f"non-ASCII byte 0x{data[at]:02x} in graph6 line", at)
     data = data.rstrip(b"\r\n")
     n, rows = rows_from_g6_bytes(data)
     return LabeledGraph.from_rows(tuple(map(str, range(n))), rows)
@@ -143,7 +150,7 @@ def parse_graph_auto(data: bytes | str) -> LabeledGraph:
             return parse_graph6(line)
         except FormatError as exc:
             # parse_graph6 counts from the stripped line; count from the input
-            start = text.encode("utf-8").index(line.encode("ascii"), offset)
+            start = text.encode("utf-8").index(line.encode("utf-8"), offset)
             raise FormatError(exc.reason, start + exc.offset) from None
     # nothing but comments/blanks: an empty edge list would have no vertices
     return parse_edge_list(text)

@@ -336,11 +336,19 @@ def color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
 
     DSATUR (Brélaz 1979): the next vertex is the uncolored one of most
     distinct neighbour colors, then of largest degree, then earliest in
-    vertex order; colors are tried ascending.  The state is incremental:
-    per color, the bit mask of vertices with a neighbour of that color,
-    and per saturation value, the bit mask of uncolored vertices that
-    have it.  Assigning a color moves only the vertices it newly
-    saturates up one bucket, and backtracking moves them back down.
+    vertex order.  It may take any color already used, tried ascending,
+    and of the unused colors only the least: permuting colors changes no
+    saturation, degree or index, so the subtree under a second unused
+    color is an image of the one under the first, which has already
+    failed.  This first-use rule finds the same first coloring as trying
+    every color, in fewer assignments whenever the search backtracks.
+
+    The state is incremental: per color, the bit mask of vertices with a
+    neighbour of that color, and per saturation value, the bit mask of
+    uncolored vertices that have it.  Assigning a color moves only the
+    vertices it newly saturates up one bucket, and backtracking moves
+    them back down.  The pick is the lowest vertex of the first degree
+    tier, highest degree first, that meets the top bucket.
 
     Returns (coloring or None, number of assignments tried).  A None
     result is a proof by exhaustion that no proper k-coloring exists.
@@ -352,40 +360,42 @@ def color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
     bound = COLOR_NODE_BOUND
     rows = g.rows
     n = g.n
-    # Work on ranks, degree descending then index ascending, so that the
-    # lowest bit of the highest nonempty bucket is the vertex DSATUR picks.
-    order = sorted(range(n), key=lambda i: (-rows[i].bit_count(), i))
-    rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r
-    ranked = []
-    for i in order:
-        bits = 0
-        for j in _bits(rows[i]):
-            bits |= 1 << rank[j]
-        ranked.append(bits)
+    # Vertex masks by degree, highest first: the lowest vertex of the first
+    # tier that meets the top bucket is the vertex DSATUR picks.
+    by_degree: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]
     seen = [0] * k  # seen[c]: vertices with a neighbour colored c
     buckets = [0] * (k + 1)  # buckets[s]: uncolored vertices of saturation s
     buckets[0] = uncolored = (1 << n) - 1
     colors = [0] * n
-    trail = []  # (vertex, color, its saturation, seen[color] before, raised)
+    used = 0  # colors 0..used-1 appear in the partial coloring
+    trail = []  # (vertex, color, its saturation, used before, seen[color] before, raised)
     nodes = 0
     while True:
         s = k
         while s >= 0 and not buckets[s]:
             s -= 1
         if s < 0:
-            return Coloring({v: colors[r] for v, r in zip(g.vertices, rank)}), nodes
-        v = (buckets[s] & -buckets[s]).bit_length() - 1
+            return Coloring(dict(zip(g.vertices, colors))), nodes
+        top = buckets[s]
+        for tier in tiers:
+            if tier & top:
+                top &= tier
+                break
+        v = (top & -top).bit_length() - 1
         c = 0
         while True:
-            while c < k and seen[c] >> v & 1:
+            limit = used + 1 if used < k else k
+            while c < limit and seen[c] >> v & 1:
                 c += 1
-            if c < k:
+            if c < limit:
                 break
             if not trail:
                 return None, nodes
-            v, c, s, before, raised = trail.pop()
+            v, c, s, used, before, raised = trail.pop()
             seen[c] = before
             for t in range(1, k + 1):  # upwards, so nothing moves twice
                 moved = buckets[t] & raised
@@ -400,9 +410,12 @@ def color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
             raise LimitExceeded(f"coloring search limited to {bound} nodes")
         uncolored ^= 1 << v
         buckets[s] ^= 1 << v
-        raised = ranked[v] & uncolored & ~seen[c]
-        trail.append((v, c, s, seen[c], raised))
-        seen[c] |= ranked[v]
+        row = rows[v]
+        raised = row & uncolored & ~seen[c]
+        trail.append((v, c, s, used, seen[c], raised))
+        if c == used:
+            used += 1
+        seen[c] |= row
         for t in range(k - 1, -1, -1):  # downwards, so nothing moves twice
             moved = buckets[t] & raised
             if moved:

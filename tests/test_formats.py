@@ -148,6 +148,18 @@ def test_graph6_errors_in_auto_input_carry_input_offsets():
         parse_graph_auto(b"# note\nD?")
 
 
+def test_graph6_non_ascii_is_a_format_error_at_its_input_byte():
+    # the offset counts UTF-8 bytes of the input: 'é' is 0xc3 0xa9
+    with pytest.raises(FormatError, match=r"^non-ASCII byte 0xc3 in graph6 line \(byte offset 4\)$"):
+        parse_graph_auto(b"# x\n\xc3\xa9D?")
+    for text, offset in (("# x\n\u00e9D?", 4), ("D?{\u00e9", 3), ("  \u00e9D?", 2)):
+        with pytest.raises(FormatError, match="non-ASCII byte 0xc3") as err:
+            parse_graph_auto(text)
+        assert err.value.offset == offset, text
+    with pytest.raises(FormatError, match=r"non-ASCII byte 0xe2 in graph6 line \(byte offset 2\)"):
+        parse_graph6("D?\u2026")
+
+
 def test_orientation_requires_full_cover():
     g = LabeledGraph("abc", [("a", "b"), ("b", "c")])
     from solvgraph import Orientation

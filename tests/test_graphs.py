@@ -212,11 +212,13 @@ def test_lex_least_coloring_random_order_planted_60(monkeypatch):
 
 
 def test_color_search_budget(monkeypatch):
+    # 26 is the exact work of the search with the first-use color rule
+    # (the plain search took 153): the bound is met, one less is exceeded
     g = grotzsch()
-    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 153)
-    assert color_search(g, 3) == (None, 153)
-    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 152)
-    with pytest.raises(LimitExceeded, match="limited to 152 nodes"):
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 26)
+    assert color_search(g, 3) == (None, 26)
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 25)
+    with pytest.raises(LimitExceeded, match="limited to 25 nodes"):
         color_search(g, 3)
     monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 5)
     with pytest.raises(LimitExceeded, match="limited to 5 nodes"):

@@ -277,6 +277,18 @@ def test_search_and_verdict_match_the_reference_search(case):
     assert check_document(is_solvable_prime_graph(g)) == reference_verdict_document(g)
 
 
+@given(search_inputs())
+@settings(max_examples=100, deadline=None)
+def test_first_use_rule_keeps_the_plain_search_coloring(case):
+    # the first-use color rule only cuts subtrees that are color
+    # permutations of failed ones: same first coloring, no more nodes
+    g, k = case
+    coloring, nodes = color_search(g, k)
+    plain_coloring, plain_nodes = reference_color_search(g, k, break_symmetry=False)
+    assert coloring == plain_coloring
+    assert nodes <= plain_nodes
+
+
 def test_search_and_verdict_match_the_reference_on_large_inputs():
     m11 = grotzsch()
     m23 = mycielski(numbered(m11))
