@@ -334,94 +334,18 @@ def find_triangle(g: LabeledGraph) -> tuple[str, str, str] | None:
 def color_search(g: LabeledGraph, k: int) -> tuple[Coloring | None, int]:
     """Exact backtracking k-coloring with saturation-degree ordering.
 
-    DSATUR (Brélaz 1979): the next vertex is the uncolored one of most
-    distinct neighbour colors, then of largest degree, then earliest in
-    vertex order.  It may take any color already used, tried ascending,
-    and of the unused colors only the least: permuting colors changes no
-    saturation, degree or index, so the subtree under a second unused
-    color is an image of the one under the first, which has already
-    failed.  This first-use rule finds the same first coloring as trying
-    every color, in fewer assignments whenever the search backtracks.
-
-    The state is incremental: per color, the bit mask of vertices with a
-    neighbour of that color, and per saturation value, the bit mask of
-    uncolored vertices that have it.  Assigning a color moves only the
-    vertices it newly saturates up one bucket, and backtracking moves
-    them back down.  The pick is the lowest vertex of the first degree
-    tier, highest degree first, that meets the top bucket.
+    DSATUR (Brélaz 1979) on ``_color_search``: the next vertex is the
+    uncolored one of most distinct neighbour colors, then of largest
+    degree, then earliest in vertex order.  Each node rebuilds the
+    saturation classes from the per-color neighbour masks and picks the
+    lowest vertex of the first degree tier that meets the top class.
 
     Returns (coloring or None, number of assignments tried).  A None
     result is a proof by exhaustion that no proper k-coloring exists.
     Raises LimitExceeded when more than COLOR_NODE_BOUND assignments are
     needed.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    bound = COLOR_NODE_BOUND
-    rows = g.rows
-    n = g.n
-    # Vertex masks by degree, highest first: the lowest vertex of the first
-    # tier that meets the top bucket is the vertex DSATUR picks.
-    by_degree: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        d = row.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << i
-    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    seen = [0] * k  # seen[c]: vertices with a neighbour colored c
-    buckets = [0] * (k + 1)  # buckets[s]: uncolored vertices of saturation s
-    buckets[0] = uncolored = (1 << n) - 1
-    colors = [0] * n
-    used = 0  # colors 0..used-1 appear in the partial coloring
-    trail = []  # (vertex, color, its saturation, used before, seen[color] before, raised)
-    nodes = 0
-    while True:
-        s = k
-        while s >= 0 and not buckets[s]:
-            s -= 1
-        if s < 0:
-            return Coloring(dict(zip(g.vertices, colors))), nodes
-        top = buckets[s]
-        for tier in tiers:
-            if tier & top:
-                top &= tier
-                break
-        v = (top & -top).bit_length() - 1
-        c = 0
-        while True:
-            limit = used + 1 if used < k else k
-            while c < limit and seen[c] >> v & 1:
-                c += 1
-            if c < limit:
-                break
-            if not trail:
-                return None, nodes
-            v, c, s, used, before, raised = trail.pop()
-            seen[c] = before
-            for t in range(1, k + 1):  # upwards, so nothing moves twice
-                moved = buckets[t] & raised
-                if moved:
-                    buckets[t] ^= moved
-                    buckets[t - 1] |= moved
-            uncolored |= 1 << v
-            buckets[s] |= 1 << v
-            c += 1
-        nodes += 1
-        if nodes > bound:
-            raise LimitExceeded(f"coloring search limited to {bound} nodes")
-        uncolored ^= 1 << v
-        buckets[s] ^= 1 << v
-        row = rows[v]
-        raised = row & uncolored & ~seen[c]
-        trail.append((v, c, s, used, seen[c], raised))
-        if c == used:
-            used += 1
-        seen[c] |= row
-        for t in range(k - 1, -1, -1):  # downwards, so nothing moves twice
-            moved = buckets[t] & raised
-            if moved:
-                buckets[t] ^= moved
-                buckets[t + 1] |= moved
-        colors[v] = c
+    return _color_search(g, k, in_order=False)
 
 
 def color_with_at_most(g: LabeledGraph, k: int) -> Coloring | None:
@@ -432,57 +356,92 @@ def color_with_at_most(g: LabeledGraph, k: int) -> Coloring | None:
 def lex_least_coloring(g: LabeledGraph, k: int = 3) -> Coloring | None:
     """The lexicographically least proper <=k-coloring in vertex order.
 
-    Deterministic anchor for the canonical orientation: backtracking in
-    vertex order trying color indices ascending returns the least color
-    sequence first.  Forward checking keeps, per color, the bit mask of
-    vertices with a neighbour of that color, and refuses a color as soon
-    as it leaves a later vertex with all k colors forbidden.  That cuts
-    only subtrees without a solution, so the least sequence is still the
-    first found.
+    Deterministic anchor for the canonical orientation: ``_color_search``
+    in vertex order, colors ascending, finds the least color sequence
+    first.  A vertex that already sees all k colors is picked ahead of
+    its turn and fails at once (forward checking), and the first-use
+    rule keeps the least sequence, which uses its colors in order of
+    first appearance.
 
     Raises LimitExceeded when more than COLOR_NODE_BOUND colors are tried.
+    """
+    return _color_search(g, k, in_order=True)[0]
+
+
+def _color_search(g: LabeledGraph, k: int, in_order: bool) -> tuple[Coloring | None, int]:
+    """The one backtracking k-coloring loop: (coloring or None, nodes).
+
+    Only the pick depends on ``in_order``: DSATUR's (color_search) or
+    vertex order (lex_least_coloring).  A vertex takes a color already
+    used, tried ascending, or only the least unused one: permuting colors
+    changes neither pick, so the subtree under a second unused color is
+    an image of the one under the first, which has already failed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     bound = COLOR_NODE_BOUND
     rows = g.rows
     n = g.n
-    seen = [0] * k  # seen[c]: vertices with a neighbour colored c
+    # Vertex masks by degree, highest first: the lowest vertex of the first
+    # tier that meets the top saturation class is the vertex DSATUR picks.
+    by_degree: dict[int, int] = {}
+    if not in_order:
+        for i, row in enumerate(rows):
+            d = row.bit_count()
+            by_degree[d] = by_degree.get(d, 0) | 1 << i
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    seen = [0] * k  # seen[c]: vertices with a neighbour colored c; 0 for c >= used
+    uncolored = (1 << n) - 1
     colors = [0] * n
-    trail = []  # seen[colors[i]] before vertex i was colored
+    used = 0  # colors 0..used-1 appear in the partial coloring
+    trail = []  # (vertex, color, used before, seen[color] before)
     nodes = 0
-    i = c = 0
-    while i < n:
-        while c < k:
-            if seen[c] >> i & 1:
+    while uncolored:
+        if in_order:
+            top = uncolored
+            if used == k:
+                for mask in seen:
+                    top &= mask
+                top = top or uncolored  # a vertex seeing all k colors fails at once
+        else:
+            at = [uncolored]  # at[j]: uncolored vertices seeing at least j colors
+            for mask in seen[:used]:
+                j = len(at)
+                at.append(at[-1] & mask)
+                while j > 1:
+                    j -= 1
+                    at[j] |= at[j - 1] & mask
+            top = at.pop()
+            while not top:
+                top = at.pop()
+            for tier in tiers:
+                if tier & top:
+                    top &= tier
+                    break
+        v = (top & -top).bit_length() - 1
+        c = 0
+        while True:
+            limit = used + 1 if used < k else k
+            while c < limit and seen[c] >> v & 1:
                 c += 1
-                continue
-            nodes += 1
-            if nodes > bound:
-                raise LimitExceeded(f"coloring search limited to {bound} nodes")
-            grown = seen[c] | rows[i]
-            # vertices with all k colors forbidden; colored ones never
-            # are, since no vertex sees its own color
-            stuck = grown
-            for d in range(k):
-                if d != c:
-                    stuck &= seen[d]
-            if not stuck:
+            if c < limit:
                 break
+            if not trail:
+                return None, nodes
+            v, c, used, before = trail.pop()
+            seen[c] = before
+            uncolored |= 1 << v
             c += 1
-        if c < k:
-            trail.append(seen[c])
-            seen[c] = grown
-            colors[i] = c
-            i, c = i + 1, 0
-            continue
-        if i == 0:
-            return None
-        i -= 1
-        c = colors[i]
-        seen[c] = trail.pop()
-        c += 1
-    return Coloring(dict(zip(g.vertices, colors)))
+        nodes += 1
+        if nodes > bound:
+            raise LimitExceeded(f"coloring search limited to {bound} nodes")
+        uncolored ^= 1 << v
+        trail.append((v, c, used, seen[c]))
+        if c == used:
+            used += 1
+        seen[c] |= rows[v]
+        colors[v] = c
+    return Coloring(dict(zip(g.vertices, colors))), nodes
 
 
 def girth(g: LabeledGraph):

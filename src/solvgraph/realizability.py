@@ -10,7 +10,6 @@ succinct certificate, so the verdict records the search node count).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .graphs import (
@@ -19,6 +18,8 @@ from .graphs import (
     LabeledGraph,
     Orientation,
     _bits,
+    _largest_independent_sets,
+    _twin_masks,
     canonical_form,
     color_search,
     complement,
@@ -189,13 +190,9 @@ def exceptional_forests() -> tuple[LabeledGraph, ...]:
 
 
 def independence_number(g: LabeledGraph) -> int:
-    """Brute-force maximum independent set size (small graphs only)."""
-    for size in range(g.n, 0, -1):
-        for subset in combinations(range(g.n), size):
-            chosen = sum(1 << i for i in subset)
-            if not any(g.rows[i] & chosen for i in subset):
-                return size
-    return 0
+    """Maximum independent set size: the size of the first largest set
+    that canonical labeling lists (0 for the graph on no vertices)."""
+    return _largest_independent_sets(g.rows, _twin_masks(g.rows))[0].bit_count()
 
 
 def classify_girth(g: LabeledGraph) -> GirthClassification:

@@ -141,11 +141,10 @@ def build_k_action(p: int, q: int) -> int:
     """Smallest exponent e > 1 of multiplicative order exactly p mod q."""
     if q % p != 1:
         raise ValueError(f"{q} is not 1 mod {p}")
-    for e in range(2, q):
-        if pow(e, p, q) == 1:
-            # order divides the prime p and is not 1
-            return e
-    raise ValueError(f"no element of order {p} mod {q}")
+    e = next(elements_of_order(p, (p,), q), None)
+    if e is None:
+        raise ValueError(f"no element of order {p} mod {q}")
+    return e
 
 
 def build_module(

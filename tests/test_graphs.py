@@ -180,8 +180,11 @@ def test_coloring_agrees_with_label_enumeration():
 
 
 def test_lex_least_coloring_is_least():
-    # compare against every proper <=k labeling
+    # compare against every proper <=k labeling; k = 4 leaves the most
+    # colors unused at each step, which tests the first-use rule in
+    # vertex order most directly
     cases = [(g, k) for n in range(1, 7) for g in enumerate_graphs(n) for k in (1, 2, 3)]
+    cases += [(g, 4) for n in range(1, 6) for g in enumerate_graphs(n)]
     cases.append((complement(cycle_graph("abcde")), 3))
     for g, k in cases:
         coloring = lex_least_coloring(g, k)
@@ -203,8 +206,9 @@ def test_lex_least_coloring_matches_reference_search():
 
 def test_lex_least_coloring_random_order_planted_60(monkeypatch):
     # plain backtracking (reference_lex_least_coloring) took 114 s on this
-    # graph on a 2-core x86 machine; forward checking needs 18,855 nodes,
-    # so a tenth of the default budget is enough
+    # graph on a 2-core x86 machine; the search in vertex order, with its
+    # forward checking, needs 18,855 nodes, so a tenth of the default
+    # budget is enough
     monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 100_000)
     g = planted_three_colorable(random.Random(0), 60, 90)
     coloring = lex_least_coloring(g, 3)
@@ -226,9 +230,18 @@ def test_color_search_budget(monkeypatch):
 
 
 def test_lex_least_coloring_budget(monkeypatch):
+    # 57 is the exact work of the search in vertex order with the first-use
+    # color rule (forward checking alone took 339): the bound is met, one
+    # less is exceeded
+    g = grotzsch()
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 57)
+    assert lex_least_coloring(g, 3) is None
+    monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 56)
+    with pytest.raises(LimitExceeded, match="limited to 56 nodes"):
+        lex_least_coloring(g, 3)
     monkeypatch.setattr("solvgraph.graphs.COLOR_NODE_BOUND", 5)
     with pytest.raises(LimitExceeded, match="limited to 5 nodes"):
-        lex_least_coloring(grotzsch(), 3)
+        lex_least_coloring(g, 3)
 
 
 def test_girth_examples():
