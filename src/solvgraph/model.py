@@ -20,12 +20,12 @@ and compared against the plan's orientation.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from . import modmat
 from .errors import LimitExceeded
-from .graphs import LabeledGraph, Orientation, complement, labels_at
+from .graphs import LabeledGraph, Orientation, _bits, complement, labels_at
 from .synthesis import GroupPlan, estimate_order
 
 SIGMA_PRIME_LIMIT = 12
@@ -157,25 +157,21 @@ class GroupModel:
             out.append((x + y) % p)
         return tuple(out)
 
-    def k_power(self, k: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = tuple(0 for _ in self.k_factors)
-        base = k
-        while e > 0:
-            if e & 1:
-                result = self.k_multiply(result, base)
-            base = self.k_multiply(base, base)
-            e >>= 1
-        return result
-
     def k_order(self, k: tuple[int, ...]) -> int:
-        exponent = 1
-        for _, p, _ in self.k_factors:
-            exponent *= p
-        zero = tuple(0 for _ in self.k_factors)
-        order = exponent
-        for _, p, _ in self.k_factors:
-            if order % p == 0 and self.k_power(k, order // p) == zero:
-                order //= p
+        """Order of the K element k in closed form.
+
+        A source prime p divides it exactly when its coordinate is nonzero
+        mod p.  A double prime q divides it exactly when its coordinate u is
+        nonzero mod q and the source part fixes C_q: each twist e**t it applies there is
+        1 mod q (the twists have distinct prime orders, so their product E
+        is 1 only when each is).  Once the source part is the identity, the
+        q coordinate of k**n is u (1 + E + ... + E**(n-1)), which is 0 when
+        E != 1 and n u when E = 1.
+        """
+        order = 1
+        for (_, p, _), twists, x in zip(self.k_factors, self._twists, k):
+            if x % p and all(pow(e, k[i], p) == 1 for i, e in twists):
+                order *= p
         return order
 
     # -- module action ---------------------------------------------------------
@@ -234,7 +230,7 @@ class GroupModel:
     def order(self, x: GroupElement) -> int:
         """Structural element order.
 
-        The K-part order n comes from cyclic-tower arithmetic; a module
+        The K-part order n comes from k_order's closed form; a module
         prime divides the order exactly when the transfer sum
         (I + M + ... + M**(n-1)) applied to that coordinate is nonzero,
         M being the action of the K part.
@@ -305,9 +301,8 @@ class GroupModel:
         out = self._frobenius_out_rows()
         rows = list(out)
         for i, row in enumerate(out):
-            for j in range(len(out)):
-                if row >> j & 1:
-                    rows[j] |= 1 << i
+            for j in _bits(row):
+                rows[j] |= 1 << i
         return Orientation.from_out_rows(LabeledGraph.from_rows(self._prime_labels(), rows), out)
 
     # -- element-order statistics ---------------------------------------------
@@ -327,30 +322,16 @@ class GroupModel:
             )
         nk = len(self.k_factors)
         best = 0
-        indices = list(range(len(labels)))
         for mask in range(1 << len(labels)):
             size = mask.bit_count()
             if size <= best:
                 continue
-            chosen = [i for i in indices if mask >> i & 1]
-            witness = tuple(
-                1 if (i < nk and mask >> i & 1) else 0 for i in range(nk)
-            )
-            target = 1
-            for i in chosen:
-                if i < nk:
-                    target *= self.k_factors[i][1]
-            if self.k_order(witness) != target:
-                continue
-            ok = True
-            for i in chosen:
-                if i < nk:
-                    continue
-                f = self.modules[i - nk]
-                if not modmat.has_fixed_vector(self.rho(i - nk, witness), f.prime):
-                    ok = False
-                    break
-            if ok:
+            witness = tuple(mask >> i & 1 for i in range(nk))
+            target = prod(p for (_, p, _), t in zip(self.k_factors, witness) if t)
+            if self.k_order(witness) == target and all(
+                modmat.has_fixed_vector(self.rho(j, witness), self.modules[j].prime)
+                for j in _bits(mask >> nk)
+            ):
                 best = size
         return best
 
@@ -374,7 +355,7 @@ class GroupModel:
                 orders[x] = m // gcd(i, m)
         return orders
 
-    def brute_force_prime_graph(self, cap: int = BRUTE_FORCE_CAP) -> LabeledGraph:
+    def brute_force_prime_graph(self) -> LabeledGraph:
         """Prime graph by exhausting the group elements.
 
         Iterates every K element with its order from _k_orders; powers of
@@ -382,9 +363,9 @@ class GroupModel:
         together with k's order are read off the transfer matrices.
         Independent of the structural rules in compute_prime_graph.
         """
-        if self.group_order() > cap:
+        if self.group_order() > BRUTE_FORCE_CAP:
             raise LimitExceeded(
-                f"group order {self.group_order()} exceeds the cap {cap}"
+                f"group order {self.group_order()} exceeds the cap {BRUTE_FORCE_CAP}"
             )
         labels = self._prime_labels()
         edges: set[tuple[str, str]] = set()
@@ -426,7 +407,7 @@ def round_trip_report(plan: GroupPlan) -> dict:
     def in_plan_order(rows) -> list[int]:
         moved = [0] * len(rows)
         for i, row in enumerate(rows):
-            moved[to_plan[i]] = sum(1 << to_plan[j] for j in range(len(rows)) if row >> j & 1)
+            moved[to_plan[i]] = sum(1 << to_plan[j] for j in _bits(row))
         return moved
 
     report["plan_valid"] = True

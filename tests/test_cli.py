@@ -44,6 +44,14 @@ def test_check_malformed_input(tmp_path, capsys):
     code = run(["check", _write(tmp_path, "g.txt", "a a\n")])
     capsys.readouterr()
     assert code == 2
+    for verb, text, message in (
+        ("check", "vertices: a b a\n", "vertex 'a' declared twice"),
+        ("validate", "a >\n", "expected 'u > v', got 'a >'"),
+    ):
+        code = run([verb, _write(tmp_path, "bad.txt", text)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", verb
+        assert err == f"error: {message} (byte offset 0)\n", verb
 
 
 def test_search_budget_is_exit_3(tmp_path, capsys, monkeypatch):
@@ -338,6 +346,17 @@ def test_model_verbs_refuse_invalid_plans(tmp_path, capsys):
     # p2 > p5 reversed: p1 > p5 > p2 > p4 is a directed 3-path
     doc["arcs"] = [[v, u] if [u, v] == ["p2", "p5"] else [u, v] for u, v in doc["arcs"]]
     refused(doc, "orientation fails validation")
+
+    doc = _pentagon_plan_doc()
+    doc["congruence"] = "bogus"
+    refused(doc, "unknown congruence mode 'bogus'")
+
+    # a single arc: the pentagon's module entries are not monomial mod 4
+    from solvgraph import orientation_from_arcs, plan_to_json_dict, synthesize
+
+    doc = plan_to_json_dict(synthesize(orientation_from_arcs("ab", [("a", "b")])))
+    doc["modules"]["b"]["characteristic"] = "4"
+    refused(doc, "module characteristic 4 for 'b' is not prime")
 
 
 def test_plan_problems_do_not_depend_on_the_hash_seed(tmp_path):

@@ -121,6 +121,21 @@ def test_duplicate_pair_reported_at_second_line(parse, text):
     assert err.value.offset == text.index("\n") + 1
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_edge_list, "# header\nvertices: a b a\n", "vertex 'a' declared twice (byte offset 9)"),
+        (parse_arc_list, "a > b\na >\n", "expected 'u > v', got 'a >' (byte offset 6)"),
+        (parse_arc_list, "a > b\n> b\n", "expected 'u > v', got '> b' (byte offset 6)"),
+        (parse_arc_list, "a > b\n\nb > c > d\n", "expected 'u > v', got 'b > c > d' (byte offset 7)"),
+    ],
+)
+def test_malformed_line_reported_at_its_offset(parse, text, message):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_auto_detection():
     assert parse_graph_auto("a b\n").has_edge("a", "b")
     assert parse_graph_auto("vertices: q\n").vertices == ("q",)

@@ -319,19 +319,40 @@ def test_brute_force_matches_structural_on_sweep():
 
 
 def test_sieved_k_orders_match_k_order():
-    """The cyclic-subgroup sieve gives k_order on every K element of every
-    sweep model within the cap."""
+    """The cyclic-subgroup sieve, by the group law, gives k_order's closed
+    form on every K element of every sweep model within the cap, in both
+    congruence modes."""
+    global_models = [
+        GroupModel(plan)
+        for plan in map(synthesize, orientation_sweep(6))
+        if estimate_order(plan) <= BRUTE_FORCE_CAP
+    ]
     total = 0
-    for m in _oracle_models():
+    for m in _oracle_models() + global_models:
         elements = list(product(*(range(p) for _, p, _ in m.k_factors)))
         assert m._k_orders() == {k: m.k_order(k) for k in elements}
         total += len(elements)
-    assert total == 4426
+    assert total == 4426 + 4282
+
+
+def test_k_order_counts_coordinates_mod_their_primes():
+    """Unreduced and negative coordinates get the order that repeated
+    k_multiply finds, here with two sources twisting one double."""
+    m = GroupModel(synthesize(orientation_from_arcs("abcd", [("a", "c"), ("b", "c"), ("c", "d")])))
+    assert [role for _, _, role in m.k_factors] == ["O", "O", "D"]
+    pa, pb, q = (p for _, p, _ in m.k_factors)
+    identity = m.identity().k
+    for k in [(pa, -pb, 1 - q), (2 * pa, -pb, q), (pa + 1, -1, -q), (-1, 0, 3 * q - 1)]:
+        power, n = k, 1
+        while m.k_multiply(identity, power) != identity:
+            power, n = m.k_multiply(power, k), n + 1
+        assert m.k_order(k) == n, k
 
 
 def test_oracle_k_multiply_count(monkeypatch):
     """Over the sweep models within the cap, the oracle walks each cyclic
-    subgroup of K once (k_order for every element made 96,493 calls)."""
+    subgroup of K once (k_order by square-and-multiply, since replaced by
+    its closed form, made 96,493 calls for every element)."""
     models = _oracle_models()
     calls = 0
     k_multiply = GroupModel.k_multiply
@@ -368,9 +389,11 @@ def test_brute_force_matches_structural_on_pentagon_model():
 
 
 def test_brute_force_cap():
-    m = _pentagon_model()
-    with pytest.raises(LimitExceeded):
-        m.brute_force_prime_graph(cap=1000)
+    """The oracle refuses the smallest sweep model above BRUTE_FORCE_CAP."""
+    plan = min((plan for _, plan in sweep_plans(6) if estimate_order(plan) > BRUTE_FORCE_CAP), key=estimate_order)
+    message = f"group order {estimate_order(plan)} exceeds the cap {BRUTE_FORCE_CAP}"
+    with pytest.raises(LimitExceeded, match=f"^{message}$"):
+        GroupModel(plan).brute_force_prime_graph()
 
 
 def test_element_shape_checks():
