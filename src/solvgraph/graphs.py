@@ -75,15 +75,24 @@ class LabeledGraph(Frozen):
     rows: tuple[int, ...]
 
     def __init__(self, vertices, edges):
-        vertices = tuple(str(v) for v in vertices)
-        if len(set(vertices)) != len(vertices):
+        vertices = tuple(map(str, vertices))
+        index = dict(zip(vertices, range(len(vertices))))
+        if len(index) != len(vertices):
             raise ValueError("duplicate vertex labels")
         object.__setattr__(self, "vertices", vertices)
+        vars(self)["_index"] = index
+        bits = [1 << i for i in range(len(vertices))]
         rows = [0] * len(vertices)
         for u, v in edges:
-            i, j = self._pair(u, v)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+            # listed labels as given; all else takes the coercing, checking path
+            try:
+                i, j = index[u], index[v]
+            except (KeyError, TypeError):
+                i = None
+            if i is None or i == j:
+                i, j = self._pair(u, v)
+            rows[i] |= bits[j]
+            rows[j] |= bits[i]
         object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
@@ -166,18 +175,23 @@ class Orientation(Frozen):
     out_rows: tuple[int, ...]
 
     def __init__(self, underlying: LabeledGraph, arcs):
-        index = underlying._index
+        index, rows = underlying._index, underlying.rows
         out = [0] * underlying.n
         for u, v in arcs:
-            u, v = str(u), str(v)
-            if not underlying.has_edge(u, v):
-                raise ValueError(f"arc ({u!r}, {v!r}) is not an underlying edge")
-            i, j = index[u], index[v]
+            try:
+                i, j = index[u], index[v]
+            except (KeyError, TypeError):
+                i = None
+            if i is None or not rows[i] >> j & 1:
+                u, v = str(u), str(v)
+                if not underlying.has_edge(u, v):
+                    raise ValueError(f"arc ({u!r}, {v!r}) is not an underlying edge")
+                i, j = index[u], index[v]
             if out[j] >> i & 1:
-                raise ValueError(f"edge {{{u!r}, {v!r}}} oriented twice")
+                raise ValueError(f"edge {{{str(u)!r}, {str(v)!r}}} oriented twice")
             out[i] |= 1 << j
         # each underlying edge sets a bit in the rows of both its ends
-        edges = sum(row.bit_count() for row in underlying.rows) // 2
+        edges = sum(row.bit_count() for row in rows) // 2
         if sum(row.bit_count() for row in out) != edges:
             raise ValueError("arcs must cover every underlying edge exactly once")
         object.__setattr__(self, "underlying", underlying)
@@ -291,6 +305,7 @@ def with_edge(g: LabeledGraph, u: str, v: str) -> LabeledGraph:
 
 
 def without_edge(g: LabeledGraph, u: str, v: str) -> LabeledGraph:
+    u, v = str(u), str(v)
     if not g.has_edge(u, v):
         raise ValueError(f"no edge between {u!r} and {v!r}")
     return _flipped(g, g._index[u], g._index[v])

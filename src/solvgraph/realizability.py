@@ -108,14 +108,21 @@ def validate_frobenius_orientation(o: Orientation) -> list[OrientationViolation]
     underlying graph is triangle-free.
 
     Witnesses are chosen deterministically (least under vertex order) so
-    repeated runs report identical violations.
+    repeated runs report identical violations.  An orientation does not
+    change once built, so o keeps this verdict and the witness searches run
+    once per orientation; each call returns a fresh list.
     """
-    witnesses = (
-        ("cycle", _least_cycle(o)),
-        ("directed-3-path", _least_directed_3_path(o)),
-        ("triangle", find_triangle(o.underlying)),
-    )
-    return [OrientationViolation(kind, w) for kind, w in witnesses if w is not None]
+    kept = vars(o)
+    if "_violations" not in kept:
+        witnesses = (
+            ("cycle", _least_cycle(o)),
+            ("directed-3-path", _least_directed_3_path(o)),
+            ("triangle", find_triangle(o.underlying)),
+        )
+        kept["_violations"] = tuple(
+            OrientationViolation(kind, w) for kind, w in witnesses if w is not None
+        )
+    return list(kept["_violations"])
 
 
 def _least_cycle(o: Orientation) -> tuple[str, ...] | None:

@@ -22,6 +22,10 @@ the same graphs and reports.
 reference_validate, reference_analyze and reference_phi_sets are the
 earlier orientation algorithms on dicts of neighbour sets built from the
 arcs; the mask versions must reproduce their witnesses and sets exactly.
+reference_graph_rows and reference_out_rows are the earlier
+LabeledGraph and Orientation constructors, which passed every label
+through str() before any lookup; the constructors must build the same
+rows and raise the same first error.
 reference_children is the earlier augmentation step of enumerate_graphs,
 which scanned every neighbour mask of the new vertex; the recursive
 listing must keep exactly the same children of every parent.
@@ -350,6 +354,45 @@ def edge_rows(g: LabeledGraph) -> list[int]:
         rows[position[u]] |= 1 << position[v]
         rows[position[v]] |= 1 << position[u]
     return rows
+
+
+def reference_graph_rows(vertices, edges) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
+    """(vertices, rows, label index) by the constructor's earlier route:
+    every label through str(), then each edge through the loop and
+    unlisted-endpoint checks of ``LabeledGraph._pair``, in argument order."""
+    vertices = tuple(str(v) for v in vertices)
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("duplicate vertex labels")
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [0] * len(vertices)
+    for u, v in edges:
+        u, v = str(u), str(v)
+        if u == v:
+            raise ValueError(f"loop at vertex {u!r}")
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an unlisted endpoint")
+        rows[index[u]] |= 1 << index[v]
+        rows[index[v]] |= 1 << index[u]
+    return vertices, tuple(rows), index
+
+
+def reference_out_rows(underlying: LabeledGraph, arcs) -> tuple[int, ...]:
+    """Out-masks by the Orientation constructor's earlier route: both
+    labels through str(), then has_edge, then the twice-oriented and the
+    cover checks."""
+    index = {v: i for i, v in enumerate(underlying.vertices)}
+    out = [0] * underlying.n
+    for u, v in arcs:
+        u, v = str(u), str(v)
+        if not underlying.has_edge(u, v):
+            raise ValueError(f"arc ({u!r}, {v!r}) is not an underlying edge")
+        i, j = index[u], index[v]
+        if out[j] >> i & 1:
+            raise ValueError(f"edge {{{u!r}, {v!r}}} oriented twice")
+        out[i] |= 1 << j
+    if sum(row.bit_count() for row in out) != len(underlying.sorted_edges()):
+        raise ValueError("arcs must cover every underlying edge exactly once")
+    return tuple(out)
 
 
 def reference_color_search(

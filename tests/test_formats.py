@@ -176,19 +176,28 @@ def test_graph6_non_ascii_is_a_format_error_at_its_input_byte():
 
 
 def test_orientation_requires_full_cover():
-    g = LabeledGraph("abc", [("a", "b"), ("b", "c")])
+    """Each constructor message; the first bad arc in argument order wins."""
     from solvgraph import Orientation
 
-    with pytest.raises(ValueError, match="cover every underlying edge"):
-        Orientation(g, [("a", "b")])
-    with pytest.raises(ValueError, match="oriented twice"):
-        Orientation(g, [("a", "b"), ("b", "a")])
-    with pytest.raises(ValueError, match=r"arc \('a', 'c'\) is not an underlying edge"):
-        Orientation(g, [("a", "b"), ("b", "c"), ("a", "c")])
-    with pytest.raises(ValueError, match=r"arc \('a', 'z'\) is not an underlying edge"):
-        Orientation(g, [("a", "z")])
-    with pytest.raises(ValueError, match="is not an underlying edge"):
-        Orientation(g, [("a", "a")])
+    g = LabeledGraph("abc", [("a", "b"), ("b", "c")])
+    ints = LabeledGraph([1, 2, 3], [(1, 2), (2, 3)])
+    cases = [
+        (g, [("a", "b")], "arcs must cover every underlying edge exactly once"),
+        (g, [], "arcs must cover every underlying edge exactly once"),
+        (g, [("a", "b"), ("b", "a")], "edge {'b', 'a'} oriented twice"),
+        (g, [("a", "b"), ("b", "a"), ("a", "c")], "edge {'b', 'a'} oriented twice"),
+        (g, [("a", "b"), ("b", "c"), ("a", "c")], "arc ('a', 'c') is not an underlying edge"),
+        (g, [("a", "c"), ("a", "b"), ("b", "a")], "arc ('a', 'c') is not an underlying edge"),
+        (g, [("a", "z")], "arc ('a', 'z') is not an underlying edge"),
+        (g, [("a", "a")], "arc ('a', 'a') is not an underlying edge"),
+        (g, [(["a"], "b")], "arc (\"['a']\", 'b') is not an underlying edge"),
+        (ints, [(1, 2), (2, 1)], "edge {'2', '1'} oriented twice"),
+        (ints, [(1, 3)], "arc ('1', '3') is not an underlying edge"),
+    ]
+    for underlying, arcs, message in cases:
+        with pytest.raises(ValueError) as err:
+            Orientation(underlying, arcs)
+        assert str(err.value) == message, arcs
     # a repeated arc counts once, as in a set of arcs
     o = Orientation(g, [("a", "b"), ("c", "b"), ("a", "b")])
     assert o == Orientation(g, [("c", "b"), ("a", "b")])

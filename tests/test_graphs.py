@@ -22,6 +22,8 @@ from helpers import (
     planted_three_colorable,
     random_graph,
     reference_children,
+    reference_graph_rows,
+    reference_out_rows,
     reference_lex_least_coloring,
     relabeled,
     unpruned_generation,
@@ -29,6 +31,7 @@ from helpers import (
 from solvgraph import (
     INFINITE_GIRTH,
     LabeledGraph,
+    Orientation,
     canonical_form,
     color_with_at_most,
     complement,
@@ -79,12 +82,129 @@ def graphs(max_n=8):
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        LabeledGraph(["a", "a"], [])
-    with pytest.raises(ValueError):
-        LabeledGraph(["a", "b"], [("a", "a")])
-    with pytest.raises(ValueError):
-        LabeledGraph(["a", "b"], [("a", "c")])
+    """Each constructor message; the first bad edge in argument order wins."""
+    cases = [
+        (["a", "a"], [("a", "z")], "duplicate vertex labels"),
+        ([1, "1"], [], "duplicate vertex labels"),
+        ("ab", [("a", "b"), ("b", "b")], "loop at vertex 'b'"),
+        ("ab", [("z", "z")], "loop at vertex 'z'"),  # the loop before the unlisted label
+        ("ab", [(1, "1")], "loop at vertex '1'"),
+        ("ab", [("a", "z")], "edge ('a', 'z') has an unlisted endpoint"),
+        ("ab", [("a", "z"), ("b", "b")], "edge ('a', 'z') has an unlisted endpoint"),
+        ("ab", [("b", "b"), ("a", "z")], "loop at vertex 'b'"),
+        ("ab", [(["a"], "b")], "edge (\"['a']\", 'b') has an unlisted endpoint"),
+    ]
+    for vertices, edges, message in cases:
+        with pytest.raises(ValueError) as err:
+            LabeledGraph(vertices, edges)
+        assert str(err.value) == message, (vertices, edges)
+
+
+def test_constructors_coerce_endpoints():
+    """Integer and unhashable endpoints go through str(), also midway
+    through a one-shot iterator; the label index is kept."""
+    strings = LabeledGraph("0123", [("0", "1"), ("1", "2"), ("2", "3")])
+    assert LabeledGraph(["0", "1", "2", "3"], [(0, 1), (1, "2"), ("2", 3)]) == strings
+    assert LabeledGraph(range(4), iter([("0", "1"), (1, 2), ("2", "3")])) == strings
+    assert vars(strings)["_index"] == {"0": 0, "1": 1, "2": 2, "3": 3}
+    listed = LabeledGraph(["[1]", "b"], [([1], "b")])
+    assert listed.edges == {("[1]", "b")}
+    labels = [f"v{i}" for i in range(7)]
+    assert LabeledGraph(labels, combinations(labels, 2)) == complete_graph(labels)
+    arcs = iter([("0", "1"), (2, 1), ("2", 3)])
+    assert Orientation(strings, arcs).arcs == {("0", "1"), ("2", "1"), ("2", "3")}
+    assert Orientation(listed, [([1], "b")]).arcs == {("[1]", "b")}
+
+
+def test_without_edge_coerces_like_with_edge():
+    g = LabeledGraph([1, 2, 3], [(1, 2)])
+    assert with_edge(g, 2, 3).has_edge("2", "3")
+    assert without_edge(g, 1, 2) == LabeledGraph("123", [])
+    assert without_edge(with_edge(g, 2, 3), 3, "2") == g
+    for u, v in ((2, 3), (1, 4), (1, 1)):
+        with pytest.raises(ValueError, match=f"^no edge between '{u}' and '{v}'$"):
+            without_edge(g, u, v)
+
+
+_LABELS = ("0", "1", "2", "3", "a", "b", "[0]", 0, 1, 4)
+_STRAYS = ("z", 9, [0], [5], ("a",))
+
+
+@st.composite
+def mixed_edge_lists(draw):
+    """(vertices, edges) for the constructor: labels of mixed types, each
+    endpoint as listed or of another type with the same str(), plus up to
+    two faults at random places: a label listed twice, a loop, or an edge
+    with an unlisted or unhashable endpoint."""
+    vertices = draw(st.lists(st.sampled_from(_LABELS), unique_by=str, max_size=7))
+    forms = [[v, str(v), int(v)] if str(v).isdigit() else [v] for v in vertices]
+    edges = []
+    if len(vertices) >= 2:
+        position = st.integers(0, len(vertices) - 1)
+        for i, j in draw(st.lists(st.lists(position, min_size=2, max_size=2, unique=True), max_size=10)):
+            edges.append((draw(st.sampled_from(forms[i])), draw(st.sampled_from(forms[j]))))
+    for fault in draw(st.lists(st.sampled_from(("twice", "loop", "stray")), max_size=2)):
+        listed = draw(st.sampled_from(forms)) if forms else ["z"]
+        if fault == "twice" and vertices:
+            vertices.append(draw(st.sampled_from(listed)))
+            continue
+        u = draw(st.sampled_from(listed))
+        v = draw(st.sampled_from(listed if fault == "loop" else _STRAYS))
+        edge = (u, v) if draw(st.booleans()) else (v, u)
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return vertices, edges
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as err:
+        return str(err)
+
+
+@given(mixed_edge_lists())
+@settings(max_examples=400, deadline=None)
+def test_graph_constructor_matches_the_reference(drawn):
+    """Rows, label index and the first error, against the per-edge
+    str()-and-_pair loop, on mixed labels, loops and unlisted endpoints."""
+    vertices, edges = drawn
+
+    def built():
+        g = LabeledGraph(vertices, iter(edges))
+        return g.vertices, g.rows, vars(g)["_index"]
+
+    assert _outcome(built) == _outcome(lambda: reference_graph_rows(vertices, edges))
+
+
+@given(drawn_graphs(max_n=6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_orientation_constructor_matches_the_reference(drawn, data):
+    """Out-masks and the first error, against the per-arc str() and
+    has_edge loop: every edge in a random direction, then up to two faults
+    (a repeated arc, a reversed copy, a dropped arc, a loop or non-edge),
+    and some labels given as integers."""
+    g, pairs = drawn
+    arcs = list(pairs)  # drawn in random directions
+    for fault in data.draw(st.lists(st.sampled_from(("repeat", "reverse", "drop", "stray")), max_size=2)):
+        if fault == "stray":
+            u = data.draw(st.sampled_from(g.vertices))
+            arc = (u, data.draw(st.sampled_from(g.vertices + ("z",))))
+        elif not arcs:
+            continue
+        else:
+            u, v = arcs.pop(data.draw(st.integers(0, len(arcs) - 1)))
+            if fault == "drop":
+                continue
+            arcs.append((u, v))
+            arc = (u, v) if fault == "repeat" else (v, u)
+        arcs.insert(data.draw(st.integers(0, len(arcs))), arc)
+    arcs = [
+        tuple(int(x) if x.isdigit() and data.draw(st.booleans()) else x for x in arc)
+        for arc in arcs
+    ]
+    assert _outcome(lambda: Orientation(g, iter(arcs)).out_rows) == _outcome(
+        lambda: reference_out_rows(g, arcs)
+    )
 
 
 @given(drawn_graphs())

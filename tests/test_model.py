@@ -189,11 +189,15 @@ def test_round_trip_detects_a_reversed_or_missing_arc(monkeypatch):
 
 def test_each_plan_is_checked_once(monkeypatch):
     """Over the sweep, synthesize, round_trip_report and GroupModel verify
-    each module once, run validate_plan once per plan and validate each
-    orientation at most twice: in select_primes and in validate_plan."""
-    from solvgraph import analysis, model, synthesis
+    each module once, run validate_plan once per plan, and ask for each
+    orientation's verdict at most twice (in select_primes and in
+    validate_plan) while its witness searches run once."""
+    from solvgraph import analysis, model, realizability, synthesis
 
-    counts = dict.fromkeys(("validate_frobenius_orientation", "validate_plan", "verify_module"), 0)
+    witness_searches = ("_least_cycle", "_least_directed_3_path", "find_triangle")
+    counts = dict.fromkeys(
+        ("validate_frobenius_orientation", "validate_plan", "verify_module") + witness_searches, 0
+    )
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -208,7 +212,10 @@ def test_each_plan_is_checked_once(monkeypatch):
         for name in counts:
             if hasattr(module, name):
                 counting(module, name)
-    sweep = orientation_sweep(6)
+    for name in witness_searches:
+        counting(realizability, name)
+    # fresh objects, so that no verdict kept by an earlier test is reused
+    sweep = [Orientation.from_out_rows(o.underlying, o.out_rows) for o in orientation_sweep(6)]
     module_count = 0
     for o in sweep:
         plan = synthesize(o, congruence="per-arc")
@@ -220,6 +227,7 @@ def test_each_plan_is_checked_once(monkeypatch):
     assert counts["verify_module"] == module_count
     assert counts["validate_plan"] == len(sweep)
     assert counts["validate_frobenius_orientation"] <= 2 * len(sweep)
+    assert [counts[name] for name in witness_searches] == [len(sweep)] * 3
 
 
 def test_invalid_plan_gets_no_model():

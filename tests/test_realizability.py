@@ -17,6 +17,7 @@ from helpers import (
     oracle_least_directed_3_path,
     oracle_max_clique,
     orientation_sweep,
+    pentagon_orientation,
     random_graph,
     random_orientations,
     reference_color_search,
@@ -28,6 +29,7 @@ from solvgraph import (
     Coloring,
     LabeledGraph,
     Orientation,
+    analyze,
     classify_girth,
     complement,
     complete_graph,
@@ -38,6 +40,7 @@ from solvgraph import (
     girth,
     is_solvable_prime_graph,
     orient_from_coloring,
+    orientation_from_arcs,
     path_graph,
     validate_frobenius_orientation,
 )
@@ -46,6 +49,7 @@ from solvgraph.graphs import color_search, with_edge
 from solvgraph.realizability import (
     VIOLATION_NOT_3_COLORABLE,
     VIOLATION_TRIANGLE,
+    OrientationViolation,
     independence_number,
 )
 
@@ -144,6 +148,46 @@ def test_validator_examples():
         v.vertices for v in validate_frobenius_orientation(loop) if v.kind == "cycle"
     )
     assert set(cycle_witness) == {"a", "b", "c"}
+
+
+def test_verdict_is_kept_and_each_call_gets_a_fresh_list():
+    loop = orientation_from_arcs("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    first = validate_frobenius_orientation(loop)
+    second = validate_frobenius_orientation(loop)
+    assert first == second == reference_validate(loop)
+    assert [v.kind for v in first] == ["cycle", "directed-3-path", "triangle"]
+    first.clear()
+    first.append(OrientationViolation("cycle", ("x",)))
+    assert validate_frobenius_orientation(loop) == second == reference_validate(loop)
+    assert validate_frobenius_orientation(loop) is not validate_frobenius_orientation(loop)
+
+
+def test_analyze_reuses_the_kept_verdict(monkeypatch):
+    from solvgraph import realizability
+
+    counts = {}
+    for name in ("_least_cycle", "_least_directed_3_path", "find_triangle"):
+        counts[name] = 0
+
+        def counted(x, name=name, fn=getattr(realizability, name)):
+            counts[name] += 1
+            return fn(x)
+
+        monkeypatch.setattr(realizability, name, counted)
+    o = pentagon_orientation()
+    assert validate_frobenius_orientation(o) == []
+    analysis = analyze(o)
+    assert analyze(o) == analysis
+    assert counts == {"_least_cycle": 1, "_least_directed_3_path": 1, "find_triangle": 1}
+    # an equal orientation is another object and runs its own searches
+    again = Orientation(o.underlying, o.sorted_arcs())
+    assert again == o and analyze(again) == analysis
+    assert set(counts.values()) == {2}
+    bad = orientation_from_arcs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="orientation is not valid: directed-3-path"):
+            analyze(bad)
+    assert set(counts.values()) == {3}
 
 
 def test_directed_3_path_witness_is_least():
