@@ -37,7 +37,8 @@ class Frozen:
     only within one class, hash over their fields, and repr as
     ``Name(field=value, ...)``; assignment and deletion raise
     AttributeError.  ``cached_property`` still works: it writes to the
-    instance dict directly.
+    instance dict directly, as does code that keeps a derived value there
+    (a graph's ``_index``, an orientation's Frobenius verdict).
     """
 
     def __init_subclass__(cls):
