@@ -115,11 +115,14 @@ class LabeledGraph(Frozen):
         return {v: i for i, v in enumerate(self.vertices)}
 
     def position(self, v: str) -> int:
-        """Position of vertex v; ValueError when v is not a vertex."""
-        i = self._index.get(v)
-        if i is None:
-            raise ValueError(f"unknown vertex {v!r}")
-        return i
+        """Position of vertex v, or else of str(v) as the constructors store
+        labels; ValueError when neither is a vertex."""
+        try:
+            return self._index[v]
+        except (KeyError, TypeError):
+            if str(v) in self._index:
+                return self._index[str(v)]
+        raise ValueError(f"unknown vertex {v!r}")
 
     def _pair(self, u, v) -> tuple[int, int]:
         """Positions of the endpoints of a new edge, checked."""
@@ -136,8 +139,10 @@ class LabeledGraph(Frozen):
         return frozenset(self.sorted_edges())
 
     def has_edge(self, u: str, v: str) -> bool:
-        index = self._index
-        return u in index and v in index and self.rows[index[u]] >> index[v] & 1 == 1
+        try:
+            return self.rows[self.position(u)] >> self.position(v) & 1 == 1
+        except ValueError:
+            return False
 
     def adjacency(self) -> dict[str, set[str]]:
         vs = self.vertices
@@ -306,10 +311,9 @@ def with_edge(g: LabeledGraph, u: str, v: str) -> LabeledGraph:
 
 
 def without_edge(g: LabeledGraph, u: str, v: str) -> LabeledGraph:
-    u, v = str(u), str(v)
     if not g.has_edge(u, v):
-        raise ValueError(f"no edge between {u!r} and {v!r}")
-    return _flipped(g, g._index[u], g._index[v])
+        raise ValueError(f"no edge between {str(u)!r} and {str(v)!r}")
+    return _flipped(g, g.position(u), g.position(v))
 
 
 def _flipped(g: LabeledGraph, i: int, j: int) -> LabeledGraph:
@@ -650,6 +654,10 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
     # The members of S have no placed neighbours, so S is one cell; the
     # search starts at depth alpha from the cell S, once for each S that
     # _largest_independent_sets lists.
+    #
+    # No node with one vertex left is built: that vertex's column ends the
+    # encoding, so a node with two free vertices computes it for each of
+    # the two orders and records the encoding where a leaf would.
     best: list[int] | None = None
     generation = 0
     shift = n.bit_length()  # candidates sort as col << shift | cand
@@ -658,15 +666,16 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
     twins = _twin_masks(rows)
     starts = _largest_independent_sets(rows, twins)
     columns = [0] * starts[0].bit_count()
+    if len(columns) >= n - 1:
+        # no edge, or a star plus isolated vertices: the one vertex left is
+        # the centre, and its column 1^deg closes the encoding
+        if len(columns) < n:
+            columns.append((1 << max(map(int.bit_count, rows))) - 1)
+        return g6_bytes_from_columns(n, columns)
 
     def rec(cells: list[int], placed: int, free: list[int], colbits, equals_best: bool) -> None:
         nonlocal best, generation
         depth = len(columns)
-        if depth == n:
-            if best is None or not equals_best:
-                best = columns.copy()
-                generation += 1
-            return
         if colbits is None:
             colbits = [0] * n
             sizes = [cell.bit_count() for cell in cells]
@@ -677,6 +686,7 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                     col = col << size | (1 << (row & cell).bit_count()) - 1
                 colbits[cand] = col
         last = cells[-1]
+        last_row = rows[(last & -last).bit_length() - 1] & placed
         if best is not None and equals_best:
             limit = best[depth]
             keys = [colbits[cand] << shift | cand for cand in free if colbits[cand] <= limit]
@@ -684,7 +694,6 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
             keys = [colbits[cand] << shift | cand for cand in free]
         keys.sort()
         singletons = len(cells) == depth
-        last_row = rows[(last & -last).bit_length() - 1] & placed
         tried = 0
         local_generation = generation
         for key in keys:
@@ -704,9 +713,32 @@ def _canonical_g6_cached(n: int, rows: tuple[int, ...]) -> bytes:
                 continue
             tried |= 1 << cand
             row = rows[cand]
-            if row & placed == last_row:
-                if 1 << cand < last:
-                    continue  # the branch placing cand first covers it; it stays tried
+            join = row & placed == last_row
+            if join and 1 << cand < last:
+                continue  # the branch placing cand first covers it; it stays tried
+            if depth == n - 2:  # the other free vertex's column is the last
+                other = free[0] + free[1] - cand
+                bits, a = colbits[other], row >> other & 1
+                if join:
+                    s = last.bit_count()
+                    final = bits >> s << s + 1 | (bits & (1 << s) - 1) << a | a
+                elif singletons:
+                    final = bits << 1 | a
+                else:  # recount over the split cells
+                    final = 0
+                    for cell in cells:
+                        for part in (cell & ~row, cell & row):
+                            if part:
+                                final = final << part.bit_count() | (1 << (rows[other] & part).bit_count()) - 1
+                    final = final << 1 | a
+                # the node below would skip other by the join rule when it
+                # has cand's placed neighbours and comes before it
+                if best is None or not child_equals or final < best[depth + 1]:
+                    if other > cand or a or rows[other] & placed != row & placed:
+                        best = columns + [col, final]
+                        generation += 1
+                continue
+            if join:
                 child = cells[:-1]
                 child.append(last | 1 << cand)
                 # the last segment becomes 0^(s+1-t-a) 1^(t+a), a = adjacency to cand
@@ -790,15 +822,16 @@ def _largest_independent_sets(rows: tuple[int, ...], twins: list[int]) -> list[i
 
 
 @lru_cache(maxsize=None)
-def _generated_forms(n: int, triangle_free: bool) -> tuple[bytes, ...]:
+def _generated_forms(n: int, triangle_free: bool) -> tuple[tuple[int, ...], ...]:
+    """The canonical rows of each class, decoded once, in canonical-form order."""
     if n <= 1:
-        return (g6_bytes_from_rows(n, (0,) * n),)
+        return ((0,) * n,)
     forms = {
         _canonical_g6_cached(n, rows)
         for parent in _generated_forms(n - 1, triangle_free)
-        for rows in _children(rows_from_g6_bytes(parent)[1], triangle_free)
+        for rows in _children(parent, triangle_free)
     }
-    return tuple(sorted(forms))
+    return tuple(rows_from_g6_bytes(form)[1] for form in sorted(forms))
 
 
 def _children(rows: tuple[int, ...], triangle_free: bool):
@@ -856,7 +889,4 @@ def enumerate_graphs(n: int, triangle_free: bool = False) -> tuple[LabeledGraph,
     if n > 10:
         raise LimitExceeded("exhaustive generation limited to 10 vertices")
     labels = tuple(map(str, range(n)))
-    return tuple(
-        LabeledGraph.from_rows(labels, rows_from_g6_bytes(form)[1])
-        for form in _generated_forms(n, triangle_free)
-    )
+    return tuple(LabeledGraph.from_rows(labels, rows) for rows in _generated_forms(n, triangle_free))

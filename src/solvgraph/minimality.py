@@ -18,15 +18,20 @@ from .errors import LimitExceeded
 from .graphs import (
     LabeledGraph,
     Orientation,
+    _bits,
+    _flipped,
     canonical_form,
     complement,
     color_with_at_most,
     is_connected,
     lex_least_coloring,
     reach,
-    without_edge,
 )
 from .realizability import is_solvable_prime_graph, orient_from_coloring
+
+# Every triangle-free graph on fewer vertices is 3-colourable; the Grötzsch
+# graph is the smallest that is not (Chvátal 1974).
+_GROTZSCH_ORDER = 11
 
 
 class MinimalityReport(NamedTuple):
@@ -43,6 +48,10 @@ def is_minimal(g: LabeledGraph) -> MinimalityReport:
     leaves a realizable graph; its presence refutes minimality.  An edge
     whose endpoints share a neighbour in the complement is passed over
     without a verdict: removing it puts a triangle in the complement.
+    Removing any other edge leaves a triangle-free complement, so below
+    11 vertices (the order of the Grötzsch graph, the smallest
+    triangle-free graph that is not 3-colourable) the first such edge
+    fails without a verdict; from 11 vertices on each gets one.
     """
     if not is_solvable_prime_graph(g).realizable:
         raise ValueError("graph is not realizable; minimality is undefined")
@@ -53,20 +62,28 @@ def _minimality(g: LabeledGraph) -> MinimalityReport:
     """is_minimal's report on a graph already known to be realizable."""
     nontrivial_ok = g.n > 1
     connectivity_ok = is_connected(g)
-    failing_edge = None
-    if nontrivial_ok and connectivity_ok:
-        rows = g.rows
-        full = (1 << g.n) - 1
-        for u, v in g.sorted_edges():
-            if full & ~(rows[g.position(u)] | rows[g.position(v)]):
-                # u and v have a common neighbour in the complement, where
-                # the edge uv closes a triangle
-                continue
-            if is_solvable_prime_graph(without_edge(g, u, v)).realizable:
-                failing_edge = (u, v)
-                break
+    failing_edge = _failing_edge(g) if nontrivial_ok and connectivity_ok else None
     minimal = nontrivial_ok and connectivity_ok and failing_edge is None
     return MinimalityReport(minimal, failing_edge, connectivity_ok, nontrivial_ok)
+
+
+def _failing_edge(g: LabeledGraph) -> tuple[str, str] | None:
+    """The first edge ij, i < j in vertex order, whose removal leaves the
+    realizable graph g realizable, or None."""
+    rows = g.rows
+    full = (1 << g.n) - 1
+    needs_verdicts = g.n >= _GROTZSCH_ORDER
+    for i, row in enumerate(rows):
+        for j in _bits(row >> i + 1 << i + 1):
+            if full & ~(row | rows[j]):
+                # i and j have a common neighbour in the complement, where
+                # the edge ij closes a triangle
+                continue
+            # else the complement plus ij is triangle-free, and below the
+            # Grötzsch order also 3-colourable: g less ij is realizable
+            if not needs_verdicts or is_solvable_prime_graph(_flipped(g, i, j)).realizable:
+                return g.vertices[i], g.vertices[j]
+    return None
 
 
 def linked_vertex_duplication(
@@ -78,7 +95,7 @@ def linked_vertex_duplication(
     """
     i = g.position(v)
     if new_label is None:
-        new_label = v + "'"
+        new_label = g.vertices[i] + "'"
         while new_label in g.vertices:
             new_label += "'"
     elif new_label in g.vertices:
@@ -107,9 +124,10 @@ def _enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
 
     found: list[tuple[bytes, LabeledGraph]] = []
     # Every candidate is realizable, so none needs is_minimal's opening
-    # verdict, only the per-edge verdicts of _minimality: its complement is
-    # triangle-free on at most 9 vertices, hence 3-colourable (the smallest
-    # triangle-free graph that is not, Grötzsch's, has 11).
+    # verdict: its complement is triangle-free on at most 9 vertices, hence
+    # 3-colourable (the smallest triangle-free graph that is not, Grötzsch's,
+    # has 11).  Below 11 vertices _minimality runs no per-edge verdict
+    # either, so up to n = 10 no candidate runs a colouring search.
     for t in enumerate_graphs(n, triangle_free=True):
         g = complement(t)
         if _minimality(g).minimal:

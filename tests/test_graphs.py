@@ -54,6 +54,7 @@ from solvgraph.graphs import (
     _generated_forms,
     _twin_masks,
     color_search,
+    g6_bytes_from_rows,
     lex_least_coloring,
     with_edge,
     without_edge,
@@ -124,6 +125,20 @@ def test_without_edge_coerces_like_with_edge():
     for u, v in ((2, 3), (1, 4), (1, 1)):
         with pytest.raises(ValueError, match=f"^no edge between '{u}' and '{v}'$"):
             without_edge(g, u, v)
+
+
+def test_lookups_coerce_labels_like_the_constructors():
+    g = LabeledGraph([1, 2, 3], [(1, 2)])
+    assert g.has_edge(1, 2) and g.has_edge("2", 1) and g.has_edge(2, "1")
+    assert not g.has_edge(1, 3) and not g.has_edge(1, 4) and not g.has_edge(4, 1)
+    assert (g.degree(1), g.degree("2"), g.degree(3)) == (1, 1, 0)
+    assert (g.position(1), g.position("3")) == (0, 2)
+    assert neighborhood(g, 1, 1) == {"2"}
+    listed = LabeledGraph(["[1]", "b"], [([1], "b")])
+    assert listed.has_edge([1], "b") and listed.degree([1]) == 1
+    for v in (4, "4", None):
+        with pytest.raises(ValueError, match=f"^unknown vertex {v!r}$"):
+            g.degree(v)
 
 
 _LABELS = ("0", "1", "2", "3", "a", "b", "[0]", 0, 1, 4)
@@ -439,6 +454,33 @@ def test_canonical_form_is_least_over_all_relabelings():
         assert canonical_form(g) == oracle_canonical_g6(g)
 
 
+def test_canonical_form_when_the_search_starts_at_its_last_columns():
+    # with no edge, K2 and stars (isolated vertices too) a largest
+    # independent set leaves at most one vertex, and the root decides; a
+    # complete bipartite graph reaches its last two columns in two cells
+    named = [empty_graph("a"), complete_graph("ab")]
+    named += [empty_graph([str(i) for i in range(n)]) for n in (2, 3, 7)]
+    rng = random.Random(71)
+    for m in range(1, 8):
+        leaves = [f"x{i}" for i in range(m)]
+        for isolated in range(3):
+            star = LabeledGraph(["c"] + leaves + [f"z{i}" for i in range(isolated)], [("c", x) for x in leaves])
+            named += [star, relabeled(star, rng)]
+    for a in range(1, 5):
+        for b in range(a, 9 - a):
+            left, right = [f"a{i}" for i in range(a)], [f"b{i}" for i in range(b)]
+            bipartite = LabeledGraph(left + right, [(u, v) for u in left for v in right])
+            named += [bipartite, relabeled(bipartite, rng)]
+    for g in named:
+        assert canonical_form(g) == oracle_canonical_g6(g), g
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_canonical_form_matches_the_oracle(g):
+    assert canonical_form(g) == oracle_canonical_g6(g)
+
+
 def largest_independent_sets(g: LabeledGraph) -> list[set[str]]:
     """Every independent set of the largest size, by subset scan."""
     for size in range(g.n, 0, -1):
@@ -623,6 +665,20 @@ def test_generation_up_to_8_triangle_free_makes_724_canonical_calls():
     _canonical_g6_cached.cache_clear()
     enumerate_graphs(8, triangle_free=True)
     assert _canonical_g6_cached.cache_info().misses == 724
+
+
+def test_generated_rows_re_encode_to_their_forms():
+    # generation keeps each class's canonical rows, in canonical-form order
+    for triangle_free, top in ((True, 8), (False, 7)):
+        for n in range(top + 1):
+            kept = _generated_forms(n, triangle_free)
+            forms = [g6_bytes_from_rows(n, rows) for rows in kept]
+            assert forms == sorted(set(forms))
+            labels = [str(i) for i in range(n)]
+            assert all(
+                canonical_form(LabeledGraph.from_rows(labels, rows)) == form
+                for rows, form in zip(kept, forms)
+            )
 
 
 def test_triangle_free_classes_are_pairwise_non_isomorphic_by_networkx():

@@ -22,6 +22,7 @@ from solvgraph import (
     isomorphic,
     linked_vertex_duplication,
 )
+from solvgraph import minimality
 from solvgraph.graphs import is_connected, without_edge
 from solvgraph.minimality import (
     canonical_orientation,
@@ -61,23 +62,92 @@ def test_disconnected_graph_not_minimal():
     assert not report.minimal and not report.connectivity_ok
 
 
+def failing_edge_by_verdicts(g: LabeledGraph) -> tuple[str, str] | None:
+    """is_minimal's failing edge with a full verdict on every edge."""
+    if g.n < 2 or not is_connected(g):
+        return None
+    return next(
+        (
+            (u, v)
+            for u, v in g.sorted_edges()
+            if is_solvable_prime_graph(without_edge(g, u, v)).realizable
+        ),
+        None,
+    )
+
+
 def test_failing_edge_matches_the_verdict_on_every_edge():
     # is_minimal passes over edges whose endpoints share a neighbour in the
-    # complement; here every edge gets its full verdict
-    for n in range(1, 9):
+    # complement, and below 11 vertices takes the first other edge without a
+    # verdict; here every edge gets its full verdict
+    for n in range(1, 10):
         for t in enumerate_graphs(n, triangle_free=True):
             g = complement(t)
-            expected = None
-            if g.n > 1 and is_connected(g):
-                expected = next(
-                    (
-                        (u, v)
-                        for u, v in g.sorted_edges()
-                        if is_solvable_prime_graph(without_edge(g, u, v)).realizable
-                    ),
-                    None,
-                )
-            assert is_minimal(g).failing_edge == expected, t
+            assert is_minimal(g).failing_edge == failing_edge_by_verdicts(g), t
+
+
+def random_triangle_free(rng: random.Random, n: int, m: int) -> LabeledGraph:
+    """Up to m random pairs, each kept unless it closes a triangle."""
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    rows = [0] * n
+    edges = []
+    for u, v in pairs:
+        if len(edges) < m and not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            edges.append((str(u), str(v)))
+    return LabeledGraph([str(i) for i in range(n)], edges)
+
+
+def test_failing_edge_matches_the_verdict_on_sampled_10_vertex_graphs():
+    # 10 is the last order on which the triangle test alone decides
+    rng = random.Random(1010)
+    for k in range(120):
+        t = random_triangle_free(rng, 10, 9 + k % 17)
+        g = relabeled(complement(t), rng)
+        assert is_minimal(g).failing_edge == failing_edge_by_verdicts(g), t
+
+
+def grotzsch_less_an_edge_complement():
+    """(g, (u, v)): g is the complement of the Grötzsch graph less its
+    first edge uv, listed with u and v first, so uv is g's first edge.  In
+    the complement u and v share no neighbour, yet g less uv is not
+    realizable: its complement is the Grötzsch graph."""
+    gr = grotzsch()
+    u, v = gr.sorted_edges()[0]
+    order = (u, v) + tuple(w for w in gr.vertices if w not in (u, v))
+    return complement(LabeledGraph(order, without_edge(gr, u, v).edges)), (u, v)
+
+
+def test_failing_edge_on_11_vertices_takes_the_verdict():
+    g, (u, v) = grotzsch_less_an_edge_complement()
+    co = complement(g)
+    assert g.sorted_edges()[0] == (u, v)
+    assert not co.rows[co.position(u)] & co.rows[co.position(v)]
+    assert not is_solvable_prime_graph(without_edge(g, u, v)).realizable
+    report = is_minimal(g)
+    assert report.failing_edge is not None and report.failing_edge != (u, v)
+    assert report.failing_edge == failing_edge_by_verdicts(g)
+
+
+def test_minimality_runs_verdicts_from_11_vertices_only(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return is_solvable_prime_graph(g)
+
+    monkeypatch.setattr(minimality, "is_solvable_prime_graph", counted)
+    minimality._enumerate_minimal.cache_clear()
+    assert [len(enumerate_minimal(n)) for n in range(5, 10)] == [1, 1, 3, 6, 12]
+    rng = random.Random(1010)
+    for k in range(30):
+        minimality._minimality(complement(random_triangle_free(rng, 10, 9 + k % 17)))
+    assert calls == []
+    g, _ = grotzsch_less_an_edge_complement()
+    minimality._minimality(g)
+    assert calls and set(calls) == {11}
 
 
 def test_duplication_examples():
@@ -106,6 +176,8 @@ def test_duplication_default_label_is_fresh():
     assert "a'" in dup.vertices
     dup2 = linked_vertex_duplication(dup, "a")
     assert "a''" in dup2.vertices
+    # the vertex is looked up as str(v), as the constructors store it
+    assert "1'" in linked_vertex_duplication(LabeledGraph([1, 2], [(1, 2)]), 1).vertices
 
 
 def test_enumerate_minimal_floor():
