@@ -2,12 +2,13 @@
 
 One graph type serves both abstract graphs and prime graphs (primes are
 their decimal renderings).  It stores the vertex tuple and one adjacency
-bit row per vertex; every search below runs on those rows, and the edge
-set is derived from them.  An orientation stores its underlying graph and
-one out-mask per vertex; its arcs and in-masks are derived.  Vertex
-*order* is significant: it fixes edge normalization, lexicographic
-tie-breaking, and serialization, while equality and hashing see a graph
-as (vertex tuple, rows) and an orientation as (underlying, out-masks).
+bit row per vertex; every search below runs on those rows, and edges are
+computed from them on each read.  An orientation stores its underlying
+graph and one out-mask per vertex; arcs are computed on each read, and
+in-masks kept.  Vertex *order* is significant: it fixes edge
+normalization, lexicographic tie-breaking, and serialization, while
+equality and hashing see a graph as (vertex tuple, rows) and an
+orientation as (underlying, out-masks).
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe.
@@ -37,8 +38,8 @@ class Frozen:
     only within one class, hash over their fields, and repr as
     ``Name(field=value, ...)``; assignment and deletion raise
     AttributeError.  ``cached_property`` still works: it writes to the
-    instance dict directly, as does code that keeps a derived value there
-    (a graph's ``_index``, an orientation's Frobenius verdict).
+    instance dict directly, as does code that keeps small derived state
+    there (``_index``, a Frobenius verdict); ``edges`` and ``arcs`` never.
     """
 
     def __init_subclass__(cls):
@@ -68,8 +69,9 @@ class LabeledGraph(Frozen):
     """Undirected simple graph: ordered vertex labels plus adjacency rows.
 
     ``rows[i]`` is the bit mask of the neighbours of ``vertices[i]``.  No
-    loops, no duplicate labels, every endpoint listed.  ``edges`` is
-    derived from the rows: pairs ordered by vertex position.
+    loops, no duplicate labels, every endpoint listed.  ``edges`` (pairs
+    by vertex position) is built from the rows on each read and not
+    stored: read it once, outside loops.
     """
 
     vertices: tuple[str, ...]
@@ -134,7 +136,7 @@ class LabeledGraph(Frozen):
             raise ValueError(f"edge ({u!r}, {v!r}) has an unlisted endpoint")
         return index[u], index[v]
 
-    @cached_property
+    @property
     def edges(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.sorted_edges())
 
@@ -171,10 +173,10 @@ def _bits(mask: int):
 class Orientation(Frozen):
     """A direction for every edge of an underlying simple graph, stored as
     out-masks: ``out_rows[i]`` is the bit mask of the out-neighbours of
-    ``vertices[i]``.  ``arcs``, the in-masks ``in_rows`` and the role
-    partition are derived: the masks ``sinks`` (no out-arcs, isolated
-    vertices included), ``doubles`` (out- and in-arcs) and ``sources``
-    (out-arcs only).
+    ``vertices[i]``.  ``arcs`` is built on each read and not stored: read
+    it once, outside loops.  Kept once derived: the in-masks ``in_rows``
+    and the role masks ``sinks`` (no out-arcs, isolated vertices included),
+    ``doubles`` (out- and in-arcs) and ``sources`` (out-arcs only).
     """
 
     underlying: LabeledGraph
@@ -232,7 +234,7 @@ class Orientation(Frozen):
     def sources(self) -> int:
         return (1 << len(self.out_rows)) - 1 & ~(self.sinks | self.doubles)
 
-    @cached_property
+    @property
     def arcs(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.sorted_arcs())
 

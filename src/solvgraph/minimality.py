@@ -91,14 +91,15 @@ def linked_vertex_duplication(
 ) -> LabeledGraph:
     """Add a twin of v adjacent to v and to every neighbor of v.
 
-    The default fresh label is v with prime marks appended.
+    The default fresh label is v with prime marks appended; a given label
+    is stored as str(new_label), as the constructors store labels.
     """
     i = g.position(v)
     if new_label is None:
         new_label = g.vertices[i] + "'"
         while new_label in g.vertices:
             new_label += "'"
-    elif new_label in g.vertices:
+    elif (new_label := str(new_label)) in g.vertices:
         raise ValueError(f"label {new_label!r} already in use")
     twin = g.rows[i] | 1 << i
     rows = [row | (twin >> j & 1) << g.n for j, row in enumerate(g.rows)]

@@ -193,7 +193,10 @@ def exceptional_forests() -> tuple[LabeledGraph, ...]:
         for g in enumerate_graphs(n)
         if girth(g) == INFINITE_GIRTH and independence_number(g) < 3
     ]
-    return tuple(sorted(found, key=lambda g: (g.n, len(g.edges), canonical_form(g))))
+    # by edge count from the rows: reading g.edges would build the edge set
+    return tuple(
+        sorted(found, key=lambda g: (g.n, sum(map(int.bit_count, g.rows)) // 2, canonical_form(g)))
+    )
 
 
 def independence_number(g: LabeledGraph) -> int:

@@ -203,18 +203,20 @@ def oracle_has_triangle(g: LabeledGraph) -> bool:
 
 def oracle_colorable(g: LabeledGraph, k: int) -> bool:
     """Try all k**n color assignments."""
+    edges = g.edges
     for assignment in product(range(k), repeat=g.n):
         colors = dict(zip(g.vertices, assignment))
-        if all(colors[u] != colors[v] for u, v in g.edges):
+        if all(colors[u] != colors[v] for u, v in edges):
             return True
     return False
 
 
 def oracle_lex_least_coloring(g: LabeledGraph, k: int) -> tuple[int, ...] | None:
     """First proper labeling in lexicographic order over all k**n."""
+    edges = g.edges
     for assignment in product(range(k), repeat=g.n):
         colors = dict(zip(g.vertices, assignment))
-        if all(colors[u] != colors[v] for u, v in g.edges):
+        if all(colors[u] != colors[v] for u, v in edges):
             return assignment
     return None
 
@@ -223,10 +225,11 @@ def oracle_least_directed_3_path(o: Orientation) -> tuple[str, ...] | None:
     """Least 4-tuple of distinct vertices, compared by vertex positions,
     whose consecutive pairs are arcs; a minimum over all 4-tuples."""
     position = {v: i for i, v in enumerate(o.vertices)}
+    arcs = o.arcs
     paths = [
         path
         for path in permutations(o.vertices, 4)
-        if all((path[i], path[i + 1]) in o.arcs for i in range(3))
+        if all((path[i], path[i + 1]) in arcs for i in range(3))
     ]
     return min(paths, key=lambda path: [position[v] for v in path], default=None)
 

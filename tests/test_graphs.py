@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -33,6 +35,7 @@ from solvgraph import (
     LabeledGraph,
     Orientation,
     canonical_form,
+    canonical_orientation,
     color_with_at_most,
     complement,
     complete_graph,
@@ -251,6 +254,34 @@ def test_stored_rows_match_the_drawn_pairs(drawn):
         else:
             assert with_edge(g, u, v).has_edge(v, u)
             assert without_edge(with_edge(g, u, v), u, v) == g
+
+
+def test_edges_and_arcs_are_built_on_each_read_and_not_kept():
+    # the complement of a C5 blown up to 5 classes of 24: 120 vertices,
+    # 4260 edges; its canonical orientation has the blow-up's 2880 arcs
+    labels = [f"{c}.{k}" for c in range(5) for k in range(24)]
+    blowup = LabeledGraph(
+        labels, [(u, v) for u, v in combinations(labels, 2) if int(v[0]) - int(u[0]) in (1, 4)]
+    )
+    g = complement(blowup)
+    o = canonical_orientation(g)
+    assert (g.n, len(g.sorted_edges()), len(o.sorted_arcs())) == (120, 4260, 2880)
+    expected_edges, expected_arcs = frozenset(g.sorted_edges()), frozenset(o.sorted_arcs())
+    kept = [set(vars(x)) for x in (g, o, o.underlying)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reads = [(g.edges, o.arcs) for _ in range(3)]
+        assert all(e == expected_edges and a == expected_arcs for e, a in reads)
+        assert tracemalloc.get_traced_memory()[0] - before > 3 * 100_000
+        del reads
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 4096
+    assert [set(vars(x)) for x in (g, o, o.underlying)] == kept
+    assert "edges" not in vars(g) and "arcs" not in vars(o)
 
 
 def test_complement_examples():

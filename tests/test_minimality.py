@@ -180,6 +180,18 @@ def test_duplication_default_label_is_fresh():
     assert "1'" in linked_vertex_duplication(LabeledGraph([1, 2], [(1, 2)]), 1).vertices
 
 
+def test_duplication_coerces_the_new_label():
+    # a non-string label is stored as str(label), as the constructors store it
+    c5 = cycle_graph("abcde")
+    dup = linked_vertex_duplication(c5, "a", 5)
+    assert dup.vertices[-1] == "5" and dup.has_edge("5", "a") and dup.has_edge(5, "b")
+    assert dup == linked_vertex_duplication(c5, "a", "5")
+    # a label that equals an existing one only under str() is already in use
+    numbered = cycle_graph(range(5))
+    with pytest.raises(ValueError, match="already in use"):
+        linked_vertex_duplication(numbered, 0, 3)
+
+
 def test_enumerate_minimal_floor():
     for n in range(1, 5):
         assert enumerate_minimal(n) == ()
@@ -221,8 +233,9 @@ def test_contains_induced_c5_finds_the_first_subset():
     c5 = cycle_graph("01234")
 
     def first(g):
+        edges = g.edges
         for subset in combinations(g.vertices, 5):
-            induced = LabeledGraph(subset, [e for e in g.edges if set(e) <= set(subset)])
+            induced = LabeledGraph(subset, [e for e in edges if set(e) <= set(subset)])
             if isomorphic(induced, c5):
                 return subset
         return None

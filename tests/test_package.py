@@ -169,7 +169,7 @@ def test_records_keep_their_value_semantics():
     """Construction, defaults, equality, hashing, repr and immutability of
     the 15 record types are those of the frozen dataclasses they were;
     LabeledGraph, Orientation and GroupPlan compare only within their
-    class and keep their cached properties beside the frozen fields."""
+    class and keep their small cached state beside the frozen fields."""
     from solvgraph import GirthClassification, analyze
     from solvgraph.graphs import LabeledGraph, Orientation
     from solvgraph.realizability import Violation
@@ -209,9 +209,13 @@ def test_records_keep_their_value_semantics():
     assert graph.__eq__(arc) is NotImplemented and arc.__eq__(arc.underlying) is NotImplemented
     with pytest.raises(AttributeError):
         graph.extra = 1
-    assert graph.edges is graph.edges == {("a", "b")}
+    # edges and arcs are built on each read and never kept; small derived
+    # state (the label index, in-masks, a plan's problems) is kept
+    assert graph.edges == graph.edges == {("a", "b")}
+    assert arc.arcs == arc.arcs == {("a", "b")}
     assert graph.position("c") == 2
     assert arc.in_rows is arc.in_rows == (0, 1)
     assert (arc.sources, arc.doubles, arc.sinks) == (1, 0, 2)
     assert plan.problems is plan.problems == ()
-    assert {"edges", "_index"} <= vars(graph).keys() and "problems" in vars(plan)
+    assert "edges" not in vars(graph) and "arcs" not in vars(arc)
+    assert "_index" in vars(graph) and "in_rows" in vars(arc) and "problems" in vars(plan)
