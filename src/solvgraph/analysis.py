@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import LabeledGraph, Orientation, _bits, cycle_graph, isomorphic, labels_at, mask_ring
+from .graphs import LabeledGraph, Orientation, _bits, girth, labels_at, mask_ring
 from .realizability import validate_frobenius_orientation
 
 
@@ -102,7 +102,8 @@ def fitting_bounds(g: LabeledGraph) -> FittingBounds:
         "isomorphic to the binary octahedral group 2O."
     )
     exact = None
-    if g.n == 5 and isomorphic(g, cycle_graph("abcde")):
+    # girth 5 on 5 vertices is the 5-cycle: a chord would close a shorter one
+    if girth(g) == g.n == 5:
         exact = 3
         note += " Groups whose prime graph is the 5-cycle have Fitting length exactly 3."
     return FittingBounds(low=3, high=4, exact=exact, note=note)

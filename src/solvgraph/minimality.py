@@ -23,9 +23,9 @@ from .graphs import (
     canonical_form,
     complement,
     color_with_at_most,
+    enumerate_graphs,
     is_connected,
     lex_least_coloring,
-    reach,
 )
 from .realizability import is_solvable_prime_graph, orient_from_coloring
 
@@ -121,8 +121,6 @@ def enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
-    from .graphs import enumerate_graphs
-
     found: list[tuple[bytes, LabeledGraph]] = []
     # Every candidate is realizable, so none needs is_minimal's opening
     # verdict: its complement is triangle-free on at most 9 vertices, hence
@@ -142,14 +140,8 @@ def contains_induced_c5(g: LabeledGraph) -> tuple[str, ...] | None:
     rows = g.rows
     for subset in combinations(range(g.n), 5):
         chosen = sum(1 << i for i in subset)
-        if any((rows[i] & chosen).bit_count() != 2 for i in subset):
-            continue
-        # connected 2-regular on 5 vertices is the 5-cycle
-        seen = frontier = 1 << subset[0]
-        while frontier:
-            frontier = reach(rows, frontier) & chosen & ~seen
-            seen |= frontier
-        if seen == chosen:
+        # 2-regular on 5 vertices is the 5-cycle: no cycle has 2 vertices
+        if all((rows[i] & chosen).bit_count() == 2 for i in subset):
             return tuple(g.vertices[i] for i in subset)
     return None
 

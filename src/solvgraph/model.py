@@ -230,18 +230,19 @@ class GroupModel:
     def order(self, x: GroupElement) -> int:
         """Structural element order.
 
-        The K-part order n comes from k_order's closed form; a module
-        prime divides the order exactly when the transfer sum
-        (I + M + ... + M**(n-1)) applied to that coordinate is nonzero,
-        M being the action of the K part.
+        The K-part order n comes from k_order's closed form.  A module
+        prime r divides the order exactly when the transfer sum
+        (I + M + ... + M**(n-1)) moves the module coordinate v off zero,
+        M being the action of the K part.  M**n = 1 (validate_plan checks
+        that the matrices satisfy the relations of K) and n is prime to r
+        (a valid plan's primes are distinct), so the sum acts as n on the
+        fixed space of M and as 0 on the image of M - 1: r divides the
+        order exactly when v has a nonzero component in the fixed space.
         """
         self._check_shape(x)
-        n_k = self.k_order(x.k)
-        total = n_k
+        total = self.k_order(x.k)
         for j, f in enumerate(self.modules):
-            if not any(x.mods[j]):
-                continue
-            if any(modmat.transfer_apply(self.rho(j, x.k), n_k, x.mods[j], f.prime)):
+            if any(x.mods[j]) and modmat.has_fixed_component(self.rho(j, x.k), x.mods[j], f.prime):
                 total *= f.prime
         return total
 

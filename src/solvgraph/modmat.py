@@ -6,10 +6,18 @@ entry per row and per column.  Such a matrix is held as a pair
 vector e_j to ``scale[j] * e_perm[j]``.  Scales are reduced mod the field
 size r and nonzero.
 
-Powers, fixed vectors and transfer sums are answered one permutation
-cycle at a time in O(dim) field operations.  On a cycle of length L
-whose scales multiply to c, the L-th power of the matrix is c times the
-identity; the closed forms below rest on that.
+Powers, fixed vectors and the transfer-sum test are answered one
+permutation cycle at a time in O(dim) field operations.  On a cycle of
+length L whose scales multiply to c, the L-th power of the matrix is c
+times the identity; the closed forms below rest on that.
+
+Element orders need one more fact.  When a**n = 1 with n prime to r,
+the space is the fixed space of a plus the image of a - 1, and the
+transfer sum I + a + ... + a**(n-1) acts as n on the first and as 0 on
+the second.  So the sum moves v off zero exactly when v has a nonzero
+fixed component, which ``has_fixed_component`` reads off per cycle.  The
+transfer sums themselves (``transfer_is_zero``) serve the brute-force
+oracle, which takes its orders from the group law.
 """
 
 from __future__ import annotations
@@ -185,6 +193,23 @@ def has_fixed_vector(a: Monomial, r: int, exponents=(1,)) -> bool:
     return any(pow(c, e // gcd(e, length), r) == 1 for length, c in kinds for e in exponents)
 
 
+def has_fixed_component(a: Monomial, v, r: int) -> bool:
+    """True iff v has a nonzero component in the fixed space of a, given
+    a**n = 1 for some n prime to r.
+
+    Then the space is the fixed space of a plus the image of a - 1.  A
+    cycle whose scale product c is not 1 fixes nothing; on a cycle with
+    c = 1, the functional with suffix products S as coefficients,
+    sum of v[j] S[i], is the one that vanishes on the image of a - 1.
+    """
+    perm, scale = a
+    for cycle in _cycles(perm):
+        prefix, suffix = _partial_products(scale, cycle, r)
+        if prefix[-1] == 1 and sum(v[j] * s for j, s in zip(cycle, suffix)) % r:
+            return True
+    return False
+
+
 def transfer_is_zero(a: Monomial, n: int, r: int) -> bool:
     """True iff I + a + ... + a**(n-1) is the zero matrix.
 
@@ -199,35 +224,3 @@ def transfer_is_zero(a: Monomial, n: int, r: int) -> bool:
         if s or _geometric(_product(scale, cycle, r), q, r):
             return False
     return True
-
-
-def transfer_apply(a: Monomial, n: int, v, r: int) -> tuple[int, ...]:
-    """(I + a + ... + a**(n-1)) @ v.
-
-    On a cycle of length L, n = qL + s gives the sum
-    (1 + ... + c**(q-1)) W_L + c**q W_s, where W_w is the sum of the first
-    w powers.  Component m of W_w v gathers v from the w cycle positions
-    up to m, each carried forward to m.  Dividing position i by the prefix
-    product P[i] makes each gather a window sum of one list, in which a
-    window that wraps past position 0 picks up a factor c.  The suffix
-    products S give 1 / P[i] = S[i] / c, one inverse per cycle.
-    """
-    perm, scale = a
-    out = [0] * len(perm)
-    for cycle in _cycles(perm):
-        length = len(cycle)
-        q, s = divmod(n, length)
-        prefix, suffix = _partial_products(scale, cycle, r)
-        c = prefix[length]
-        inverse = pow(c, -1, r)
-        carried = [v[j] * suffix[i] * inverse % r for i, j in enumerate(cycle)]
-        sums = [0]  # running totals of (c * carried) followed by carried
-        for x in [c * x for x in carried] + carried:
-            sums.append((sums[-1] + x) % r)
-        full = _geometric(c, q, r)
-        turns = pow(c, q, r)
-        for m, j in enumerate(cycle):
-            end = sums[length + m + 1]
-            total = full * (end - sums[m + 1]) + turns * (end - sums[length + m - s + 1])
-            out[j] = prefix[m] * total % r
-    return tuple(out)

@@ -20,14 +20,11 @@ from .graphs import (
     _bits,
     _largest_independent_sets,
     _twin_masks,
-    canonical_form,
     color_search,
     complement,
-    cycle_graph,
     enumerate_graphs,
     find_triangle,
     girth,
-    isomorphic,
 )
 
 VIOLATION_TRIANGLE = "triangle-in-complement"
@@ -181,11 +178,12 @@ class GirthClassification(NamedTuple):
 
 @lru_cache(maxsize=1)
 def exceptional_forests() -> tuple[LabeledGraph, ...]:
-    """The 7 forests without an independent set of size 3, up to isomorphism.
+    """The 7 forests without an independent set of size 3, up to isomorphism,
+    by vertex count and then edge count.
 
     Computed by exhaustive generation over at most 4 vertices (any forest
     on 5 or more vertices has an independent set of size 3), never
-    hard-coded.
+    hard-coded.  No two of them have the same vertex and edge counts.
     """
     found = [
         g
@@ -193,10 +191,13 @@ def exceptional_forests() -> tuple[LabeledGraph, ...]:
         for g in enumerate_graphs(n)
         if girth(g) == INFINITE_GIRTH and independence_number(g) < 3
     ]
-    # by edge count from the rows: reading g.edges would build the edge set
-    return tuple(
-        sorted(found, key=lambda g: (g.n, sum(map(int.bit_count, g.rows)) // 2, canonical_form(g)))
-    )
+    return tuple(sorted(found, key=_size))
+
+
+def _size(g: LabeledGraph) -> tuple[int, int]:
+    """Vertex and edge count, the edges counted on the rows: reading g.edges
+    would build the edge set."""
+    return g.n, sum(map(int.bit_count, g.rows)) // 2
 
 
 def independence_number(g: LabeledGraph) -> int:
@@ -206,7 +207,13 @@ def independence_number(g: LabeledGraph) -> int:
 
 
 def classify_girth(g: LabeledGraph) -> GirthClassification:
-    """Realizable graphs have girth 3 except C4, C5, and the 7 forests."""
+    """Realizable graphs have girth 3 except C4, C5, and the 7 forests.
+
+    Each exception is told by an invariant.  A graph whose girth is its
+    vertex count is that cycle, since a chord would close a shorter one.
+    A realizable graph has no independent set of size 3, so a realizable
+    forest is one of the 7, and those differ in vertex or edge count.
+    """
     if not is_solvable_prime_graph(g).realizable:
         return GirthClassification(NOT_REALIZABLE)
     value = girth(g)
@@ -214,11 +221,9 @@ def classify_girth(g: LabeledGraph) -> GirthClassification:
         return GirthClassification(GIRTH_3)
     if value == INFINITE_GIRTH:
         for i, forest in enumerate(exceptional_forests(), start=1):
-            if isomorphic(g, forest):
+            if _size(forest) == _size(g):
                 return GirthClassification(EXCEPTIONAL, f"forest-{i}")
         raise AssertionError("realizable forest outside the exceptional list")
-    if value == 4 and isomorphic(g, cycle_graph("abcd")):
-        return GirthClassification(EXCEPTIONAL, "C4")
-    if value == 5 and isomorphic(g, cycle_graph("abcde")):
-        return GirthClassification(EXCEPTIONAL, "C5")
+    if value in (4, 5) and value == g.n:
+        return GirthClassification(EXCEPTIONAL, f"C{value}")
     raise AssertionError("realizable graph with unclassified girth")

@@ -213,21 +213,23 @@ def verify_module(
     spec = plan.modules[v]
     r = spec.characteristic
     d = spec.dimension
-    if set(spec.generator_action) != phi1 | phi2:
-        return [f"acting vertices {sorted(spec.generator_action)} do not match the in-neighborhoods"]
     mats = spec.generator_action
-    for w, mat in mats.items():
-        if len(mat[0]) != d:
+    if set(mats) != phi1 | phi2:
+        return [f"acting vertices {sorted(mats)} do not match the in-neighborhoods"]
+    o = plan.orientation
+    acting = [w for w in o.vertices if w in mats]  # problems come in vertex order
+    for w in acting:
+        if len(mats[w][0]) != d:
             return [f"matrix for {w!r} has wrong shape"]
     identity = modmat.identity(d)
     problems = []
-    for w, mat in mats.items():
+    for w in acting:
         p_w = plan.prime_of[w]
-        if mat == identity:
+        if mats[w] == identity:
             problems.append(f"matrix for {w!r} is the identity")
-        elif not modmat.power_is_identity(mat, p_w, r):
+        elif not modmat.power_is_identity(mats[w], p_w, r):
             problems.append(f"matrix for {w!r} does not have order {p_w}")
-    phi1_list = sorted(phi1)
+    phi1_list = [w for w in acting if w in phi1]
     for i, w in enumerate(phi1_list):
         for u in phi1_list[i + 1 :]:
             if not modmat.commute(mats[w], mats[u], r):
@@ -247,18 +249,16 @@ def verify_module(
         problems.append("fixed point in the span of the 1-in-neighborhood action")
     # The nontrivial powers of a matrix of prime order span the same
     # group, so they share one fixed space.
-    for s in sorted(phi2):
-        if not modmat.has_fixed_vector(mats[s], r):
+    for s in acting:
+        if s in phi2 and not modmat.has_fixed_vector(mats[s], r):
             problems.append(f"no fixed space for any power of the matrix of {s!r}")
     if problems:
         return problems
 
     # The double matrices all lie in the 1-in-neighborhood, so they
     # commute already; the source matrices may also act through phi2.
-    o = plan.orientation
-    position = o.underlying.position
-    u_actors = sorted(w for w in phi1 if o.doubles >> position(w) & 1)
-    t_actors = sorted(w for w in phi1 | phi2 if o.sources >> position(w) & 1)
+    u_actors = [w for w in labels_at(o.vertices, o.doubles) if w in phi1]
+    t_actors = [w for w in labels_at(o.vertices, o.sources) if w in mats]
     for i, w in enumerate(t_actors):
         for u in t_actors[i + 1 :]:
             if not modmat.commute(mats[w], mats[u], r):

@@ -18,7 +18,9 @@ reference_brute_force_prime_graph, reference_frobenius_digraph and
 reference_round_trip_report are the model's earlier oracle (k_order for
 every K element), arc-list digraph and label-based round trip; the
 sieved oracle, the out-mask digraph and the out-mask round trip must give
-the same graphs and reports.
+the same graphs and reports.  transfer_sum_order is the model's earlier
+element order, which summed the powers of the module action on each
+coordinate; the fixed-component rule must give the same orders.
 reference_validate, reference_analyze and reference_phi_sets are the
 earlier orientation algorithms on dicts of neighbour sets built from the
 arcs; the mask versions must reproduce their witnesses and sets exactly.
@@ -249,6 +251,20 @@ def oracle_girth(g: LabeledGraph):
                 ):
                     return length
     return math.inf
+
+
+def oracle_induced_c5(g: LabeledGraph) -> tuple[str, ...] | None:
+    """First 5-subset in vertex order that carries exactly 5 edges, all on
+    one spanning cycle: an induced 5-cycle."""
+    edges = {frozenset(e) for e in g.edges}
+    for subset in combinations(g.vertices, 5):
+        if sum(frozenset(pair) in edges for pair in combinations(subset, 2)) != 5:
+            continue
+        for rest in permutations(subset[1:]):
+            cycle = subset[:1] + rest
+            if all(frozenset((cycle[i - 1], cycle[i])) in edges for i in range(5)):
+                return subset
+    return None
 
 
 def oracle_canonical_g6(g: LabeledGraph) -> bytes:
@@ -715,6 +731,23 @@ def reference_rho(model: GroupModel, j: int, k: tuple[int, ...]) -> modmat.Monom
     return mat
 
 
+def transfer_sum_order(model: GroupModel, x) -> int:
+    """Element order by the transfer sum: the K-part order n, times each
+    module prime r for which (I + M + ... + M**(n-1)) moves the module
+    coordinate off zero, the sum taken by applying M to it n times."""
+    n = model.k_order(x.k)
+    total = n
+    for j, f in enumerate(model.modules):
+        action = model.rho(j, x.k)
+        term, summed = x.mods[j], (0,) * f.dim
+        for _ in range(n):
+            summed = tuple((a + b) % f.prime for a, b in zip(summed, term))
+            term = modmat.apply(action, term, f.prime)
+        if any(summed):
+            total *= f.prime
+    return total
+
+
 def reference_frobenius_digraph(model: GroupModel) -> Orientation:
     """The earlier digraph: an arc list between prime labels through the
     public constructor."""
@@ -1093,3 +1126,9 @@ def sweep_plans(max_n: int = 6):
     return tuple(
         (o, synthesize(o, congruence="per-arc")) for o in orientation_sweep(max_n)
     )
+
+
+@lru_cache(maxsize=1)
+def global_sweep_plans(max_n: int = 6):
+    """Global-congruence synthesized plans for the whole orientation sweep."""
+    return tuple(map(synthesize, orientation_sweep(max_n)))

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from helpers import (
+    global_sweep_plans,
     model_sigma_by_enumeration,
     orientation_sweep,
     pentagon_orientation,
@@ -17,6 +18,7 @@ from helpers import (
     reference_rho,
     reference_round_trip_report,
     sweep_plans,
+    transfer_sum_order,
 )
 from solvgraph import (
     GroupElement,
@@ -27,6 +29,7 @@ from solvgraph import (
     orientation_from_arcs,
     synthesize,
 )
+from solvgraph import modmat
 from solvgraph.errors import LimitExceeded
 from solvgraph.model import BRUTE_FORCE_CAP, round_trip_report
 
@@ -91,6 +94,29 @@ def test_order_matches_iterative_order():
             assert model.order(x) == model.iterative_order(x)
 
 
+def test_order_matches_the_transfer_sum_on_small_sweep_models():
+    """On every K element of the sweep models of order at most 50,000, in
+    both congruence modes, order() agrees with the transfer-sum route: once
+    with a random vector per module, once with vectors v - M v in the image
+    of the action minus 1, which have no fixed component."""
+    rng = random.Random(26)
+    compared = 0
+    for plan in [plan for _, plan in sweep_plans(6)] + list(global_sweep_plans(6)):
+        if estimate_order(plan) > 50_000:
+            continue
+        m = GroupModel(plan)
+        for k in product(*(range(p) for _, p, _ in m.k_factors)):
+            x = GroupElement(k, m.random_element(rng).mods)
+            image = tuple(
+                tuple((a - b) % f.prime for a, b in zip(v, modmat.apply(m.rho(j, k), v, f.prime)))
+                for j, (f, v) in enumerate(zip(m.modules, x.mods))
+            )
+            for y in (x, GroupElement(k, image)):
+                assert m.order(y) == transfer_sum_order(m, y), (plan.orientation, y)
+                compared += 1
+    assert compared == 2 * 2558
+
+
 def test_order_divides_group_order():
     rng = random.Random(12)
     m = _pentagon_model()
@@ -136,10 +162,9 @@ def test_pentagon_model_round_trip():
 
 def test_round_trip_in_global_congruence_mode():
     count = 0
-    for o in orientation_sweep(6):
-        plan = synthesize(o, congruence="global")
+    for plan in global_sweep_plans(6):
         report = round_trip_report(plan)
-        assert report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"], o.arcs
+        assert report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"], plan.orientation.arcs
         assert report == reference_round_trip_report(plan)
         count += 1
     assert count == 634
@@ -330,11 +355,7 @@ def test_sieved_k_orders_match_k_order():
     """The cyclic-subgroup sieve, by the group law, gives k_order's closed
     form on every K element of every sweep model within the cap, in both
     congruence modes."""
-    global_models = [
-        GroupModel(plan)
-        for plan in map(synthesize, orientation_sweep(6))
-        if estimate_order(plan) <= BRUTE_FORCE_CAP
-    ]
+    global_models = [GroupModel(plan) for plan in global_sweep_plans(6) if estimate_order(plan) <= BRUTE_FORCE_CAP]
     total = 0
     for m in _oracle_models() + global_models:
         elements = list(product(*(range(p) for _, p, _ in m.k_factors)))

@@ -36,8 +36,10 @@ def test_rows_round_trip_and_non_monomial_rejected():
 def test_monomial_kernels_match_dense_on_sweep_modules():
     """Every distinct module of dimension <= 35 in the sweep: for the
     action of the product of its actors (and of a random K element on
-    small modules), powers, the fixed-vector test and the transfer sum,
-    as a matrix and applied to a vector, agree with dense arithmetic."""
+    small modules), powers, the fixed-vector test and the zero test of the
+    transfer sum agree with dense arithmetic.  At n = k_order(k), the
+    fixed-component test says whether the transfer sum moves a random
+    vector, and a vector in the image of the action minus 1, off zero."""
     rng = random.Random(35)
     seen = set()
     checked = 0
@@ -65,12 +67,16 @@ def test_monomial_kernels_match_dense_on_sweep_modules():
                 ]
                 assert modmat.has_fixed_vector(mono, f.prime) == (dense_nullity(shifted, f.prime) > 0)
                 n_k = model.k_order(k)
-                v = tuple(rng.randrange(f.prime) for _ in range(f.dim))
                 for n in (n_k, n_k + 1, n_k * f.prime) if small else (n_k,):
                     transfer = dense_transfer(dense, n, f.prime)
                     zero = not any(any(row) for row in transfer)
                     assert modmat.transfer_is_zero(mono, n, f.prime) == zero
-                    assert modmat.transfer_apply(mono, n, v, f.prime) == dense_apply(transfer, v, f.prime)
+                    if n == n_k:
+                        v = tuple(rng.randrange(f.prime) for _ in range(f.dim))
+                        moved = modmat.apply(mono, v, f.prime)
+                        for w in (v, tuple((x - y) % f.prime for x, y in zip(v, moved))):
+                            fixed = modmat.has_fixed_component(mono, w, f.prime)
+                            assert fixed == any(dense_apply(transfer, w, f.prime))
                 checked += 1
     assert checked > 500
 
@@ -108,8 +114,11 @@ def _cycle_lengths(perm) -> set[int]:
 def test_monomial_kernels_match_dense_on_general_monomials(drawn, exponents, data):
     """Any monomial matrix, as plan JSON may carry: products, powers below,
     at, between and above multiples of each cycle length, the closed-form
-    identity test, fixed vectors of several powers and transfer sums
-    agree with dense arithmetic."""
+    identity test, fixed vectors of several powers and the zero test of
+    transfer sums agree with dense arithmetic.  Where no cycle length is
+    a multiple of r, the period of a is prime to r, and the fixed-component
+    test says whether the transfer sum over a period moves a vector, and
+    a vector in the image of a - 1."""
     a, b, r = drawn
     dim = len(a[0])
     dense = [list(row) for row in modmat.to_rows(a)]
@@ -133,8 +142,12 @@ def test_monomial_kernels_match_dense_on_general_monomials(drawn, exponents, dat
         > 0
         for e in exponents
     )
-    v = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=dim, max_size=dim)))
     for n in sorted(powers):
         transfer = dense_transfer(dense, n, r)
         assert modmat.transfer_is_zero(a, n, r) == (not any(any(row) for row in transfer))
-        assert modmat.transfer_apply(a, n, v, r) == dense_apply(transfer, v, r)
+    if all(length % r for length in lengths):
+        v = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=dim, max_size=dim)))
+        image = tuple((x - y) % r for x, y in zip(v, modmat.apply(a, v, r)))
+        transfer = dense_transfer(dense, period, r)
+        for w in (v, image):
+            assert modmat.has_fixed_component(a, w, r) == any(dense_apply(transfer, w, r))

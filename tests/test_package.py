@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -219,3 +219,19 @@ def test_records_keep_their_value_semantics():
     assert plan.problems is plan.problems == ()
     assert "edges" not in vars(graph) and "arcs" not in vars(arc)
     assert "_index" in vars(graph) and "in_rows" in vars(arc) and "problems" in vars(plan)
+
+
+def test_benchmark_library_names_resolve():
+    """The benchmark binds these library names, and the suite runs none of
+    its own tests (testpaths), so a refactor that moved one would break the
+    benchmark unseen.  perfbench/spans.py is loaded by path; worker.py is
+    not imported, as it starts its timing probe at import."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    calls = spans.library_calls()
+    assert len(calls) == 18
+    assert all(map(callable, calls.values()))
+    from solvgraph.graphs import _canonical_g6_cached
+
+    assert callable(_canonical_g6_cached.cache_info)

@@ -14,6 +14,9 @@ from helpers import (
     maximal_triangle_free,
     mycielski,
     numbered,
+    oracle_canonical_g6,
+    oracle_girth,
+    oracle_induced_c5,
     oracle_least_directed_3_path,
     oracle_max_clique,
     orientation_sweep,
@@ -33,11 +36,14 @@ from solvgraph import (
     classify_girth,
     complement,
     complete_graph,
+    contains_induced_c5,
     cycle_graph,
     empty_graph,
     enumerate_graphs,
     exceptional_forests,
+    fitting_bounds,
     girth,
+    is_minimal,
     is_solvable_prime_graph,
     orient_from_coloring,
     orientation_from_arcs,
@@ -252,6 +258,51 @@ def test_classify_girth_examples():
     assert classify_girth(chord).status == "girth3"
     assert classify_girth(cycle_graph("abcdef")).status == "not-realizable"
     assert classify_girth(cycle_graph("abcde")).kind == "C5"
+
+
+def test_girth_rules_match_isomorphism_to_the_named_exceptions():
+    """classify_girth, contains_induced_c5 and fitting_bounds tell C4, C5
+    and the forests by girth, vertex and edge counts and degrees.  On every
+    graph with at most 7 vertices and every complement of a triangle-free
+    graph on 8, they agree with brute-force girth, brute-force canonical
+    forms of the named exceptions and a spanning-cycle search for induced
+    5-cycles.  The forests are numbered by vertex count, then edge count."""
+    named = {
+        oracle_canonical_g6(g): kind
+        for kind, g in [
+            ("forest-1", empty_graph("a")),
+            ("forest-2", empty_graph("ab")),
+            ("forest-3", LabeledGraph("ab", [("a", "b")])),
+            ("forest-4", LabeledGraph("abc", [("a", "b")])),
+            ("forest-5", path_graph("abc")),
+            ("forest-6", LabeledGraph("abcd", [("a", "b"), ("c", "d")])),
+            ("forest-7", path_graph("abcd")),
+            ("C4", cycle_graph("abcd")),
+            ("C5", cycle_graph("abcde")),
+        ]
+    }
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += [complement(t) for t in enumerate_graphs(8, triangle_free=True)]
+    kinds, minimal = {}, 0
+    for g in graphs:
+        assert contains_induced_c5(g) == oracle_induced_c5(g), g
+        classified = classify_girth(g)
+        if not is_solvable_prime_graph(g).realizable:
+            assert classified.status == "not-realizable", g
+            continue
+        # isomorphic graphs have equal vertex counts, so only n <= 5 needs a form
+        kind = named.get(oracle_canonical_g6(g)) if g.n <= 5 else None
+        if is_minimal(g).minimal:
+            assert (fitting_bounds(g).exact == 3) == (kind == "C5"), g
+            minimal += 1
+        if oracle_girth(g) == 3:
+            assert classified.status == "girth3", g
+            continue
+        assert classified == ("exceptional", kind), g
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert len(graphs) == 1252 + 410
+    assert kinds == dict.fromkeys(named.values(), 1)
+    assert minimal == 11
 
 
 def test_realizability_is_isomorphism_invariant():

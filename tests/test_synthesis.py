@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     dense_identity,
     dense_nullity,
+    global_sweep_plans,
     orientation_sweep,
     pentagon_orientation,
     random_orientations,
@@ -340,6 +341,31 @@ def test_validate_plan_reports_each_module_rejection():
     ]
 
 
+def test_module_problems_come_in_vertex_order_not_label_order():
+    """verify_module names the acting vertices in vertex order, also where
+    their labels sort the other way and where the plan JSON lists the
+    actions out of vertex order.  On zs -> d <- as, d -> v, the module of v
+    has dimension 6 = 2 * 3 and zs, as act through B-shifts."""
+    o = orientation_from_arcs(["zs", "as", "d", "v"], [("zs", "d"), ("as", "d"), ("d", "v")])
+    swap = [[int((i, j) in ((0, 1), (1, 0)) or i == j > 1) for j in range(6)] for i in range(6)]
+    assert _corrupted(o, "v", zs=swap) == [
+        "module 'v': matrices of 'zs' and 'as' must commute",
+        "module 'v': conjugation by 'zs' disagrees with the exponent action on 'd'",
+    ]
+    doc = plan_to_json_dict(synthesize(o))
+    actions = doc["modules"]["v"]["actions"]
+    one = dense_identity(6)
+    doc["modules"]["v"]["actions"] = {"d": actions["d"], "as": one, "zs": one}
+    assert validate_plan(plan_from_json_dict(doc)) == [
+        "matrix for 'zs' is the identity",
+        "matrix for 'as' is the identity",
+    ]
+    path = orientation_from_arcs(["x", "b", "c", "v"], [("x", "v"), ("b", "c"), ("c", "v")])
+    assert _corrupted(path, "v", x=[[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == [
+        "matrices for 'x' and 'c' do not commute"
+    ]
+
+
 # sha256 over the sweep of each plan's sorted-key JSON, one line per plan
 PLAN_BYTES = {
     "global": "ba87bdbec302da09cba3754768f4338dd1582cbfe4e4cfbbb5ca033524177013",
@@ -349,7 +375,7 @@ PLAN_BYTES = {
 
 def test_plan_bytes_over_the_sweep_are_pinned():
     plans = {
-        "global": [synthesize(o) for o in orientation_sweep()],
+        "global": global_sweep_plans(),
         "per-arc": [plan for _, plan in sweep_plans()],
     }
     for mode, pin in PLAN_BYTES.items():
