@@ -15,6 +15,7 @@ import importlib
 # The defining module of each public name.
 _EXPORTS = {
     "analysis": ("DigraphAnalysis", "FittingBounds", "analyze", "fitting_bounds", "sigma_partition_bound"),
+    "census": ("canonical_form", "canonical_graph", "enumerate_graphs", "isomorphic"),
     "errors": ("FormatError", "LimitExceeded"),
     "formats": (
         "emit_arc_list",
@@ -30,18 +31,14 @@ _EXPORTS = {
         "INFINITE_GIRTH",
         "LabeledGraph",
         "Orientation",
-        "canonical_form",
-        "canonical_graph",
         "color_with_at_most",
         "complement",
         "complete_graph",
         "cycle_graph",
         "directed_neighborhood",
         "empty_graph",
-        "enumerate_graphs",
         "find_triangle",
         "girth",
-        "isomorphic",
         "neighborhood",
         "orientation_from_arcs",
         "path_graph",

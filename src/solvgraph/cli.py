@@ -140,7 +140,8 @@ def _cmd_classify_girth(args) -> int:
 
 
 def _cmd_exceptions(_args) -> int:
-    from .graphs import canonical_form, cycle_graph
+    from .census import canonical_form
+    from .graphs import cycle_graph
     from .realizability import exceptional_forests
 
     for forest in exceptional_forests():
@@ -195,12 +196,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     from .formats import parse_arc_list
+    from .primes import decimal
     from .synthesis import estimate_order, plan_to_json_dict, synthesize
 
     o = parse_arc_list(_read(args.arcs))
     plan = synthesize(o, congruence=args.congruence, prime_cap=args.prime_cap)
     doc = plan_to_json_dict(plan)
-    doc["estimated_order"] = str(estimate_order(plan))
+    doc["estimated_order"] = decimal(estimate_order(plan))
     _emit_json(doc)
     return EXIT_OK
 
@@ -252,12 +254,13 @@ def _cmd_digraph(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .model import round_trip_report
+    from .primes import decimal
 
     plan = _load_plan(args.plan)
     report = round_trip_report(plan)
     if not report["plan_valid"]:
         _report_problems(plan)  # the report keeps only the verdict
-    report["group_order"] = str(report["group_order"])
+    report["group_order"] = decimal(report["group_order"])
     _emit_json(report)
     ok = report["plan_valid"] and report["digraph_matches"] and report["prime_graph_matches"]
     return EXIT_OK if ok else EXIT_NEGATIVE

@@ -11,13 +11,8 @@ triangle in column-major order, zero-padded to a byte boundary.
 
 from __future__ import annotations
 
-from .errors import FormatError
-from .graphs import (
-    LabeledGraph,
-    Orientation,
-    g6_bytes_from_rows,
-    rows_from_g6_bytes,
-)
+from .errors import FormatError, LimitExceeded
+from .graphs import LabeledGraph, Orientation
 
 __all__ = [
     "FormatError",
@@ -108,6 +103,69 @@ def emit_arc_list(o: Orientation) -> str:
     lines = ["vertices: " + " ".join(o.vertices)]
     lines.extend(f"{u} > {v}" for u, v in o.sorted_arcs())
     return "\n".join(lines) + "\n"
+
+
+# -- graph6 packing -----------------------------------------------------------
+
+
+def g6_bytes_from_rows(n: int, rows) -> bytes:
+    """Pack adjacency rows into graph6 bytes (n <= 62)."""
+    columns = [sum((rows[i] >> j & 1) << j - 1 - i for i in range(j)) for j in range(n)]
+    return g6_bytes_from_columns(n, columns)
+
+
+def g6_bytes_from_columns(n: int, columns) -> bytes:
+    """Pack upper-triangle columns into graph6 bytes (n <= 62).
+
+    columns[j] holds the pairs (i, j), i < j, as j bits with i = 0 at the
+    high bit: graph6's own bit order, so the body is their concatenation.
+    """
+    if n > 62:
+        raise LimitExceeded("graph6 emitter supports at most 62 vertices")
+    body = 0
+    for j in range(1, n):
+        body = body << j | columns[j]
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    body <<= pad
+    return bytes(
+        [n + 63] + [(body >> shift & 63) + 63 for shift in range(nbits + pad - 6, -1, -6)]
+    )
+
+
+def rows_from_g6_bytes(data: bytes) -> tuple[int, tuple[int, ...]]:
+    """Unpack graph6 bytes into (n, adjacency rows); strict, no junk allowed."""
+    if not data:
+        raise FormatError("empty graph6 input", 0)
+    n = data[0] - 63
+    if not 0 <= n <= 62:
+        raise FormatError(f"malformed graph6 header byte {data[0]}", 0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) < 1 + nbytes:
+        raise FormatError("truncated graph6 body", len(data))
+    if len(data) > 1 + nbytes:
+        raise FormatError("trailing junk after graph6 body", 1 + nbytes)
+    rows = [0] * n
+    index = 0
+    i, j = 0, 1  # the pair of the index-th bit, in column-major order
+    for byte_at, raw in enumerate(data[1:], start=1):
+        value = raw - 63
+        if not 0 <= value < 64:
+            raise FormatError(f"graph6 body byte {raw} out of range", byte_at)
+        for shift in range(5, -1, -1):
+            if index >= nbits:
+                if value >> shift & 1:
+                    raise FormatError("nonzero padding bits", byte_at)
+                continue
+            if value >> shift & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            index += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return n, tuple(rows)
 
 
 def parse_graph6(data: bytes | str) -> LabeledGraph:

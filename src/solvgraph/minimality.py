@@ -20,10 +20,8 @@ from .graphs import (
     Orientation,
     _bits,
     _flipped,
-    canonical_form,
     complement,
     color_with_at_most,
-    enumerate_graphs,
     is_connected,
     lex_least_coloring,
 )
@@ -121,6 +119,8 @@ def enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate_minimal(n: int) -> tuple[LabeledGraph, ...]:
+    from .census import canonical_form, enumerate_graphs
+
     found: list[tuple[bytes, LabeledGraph]] = []
     # Every candidate is realizable, so none needs is_minimal's opening
     # verdict: its complement is triangle-free on at most 9 vertices, hence
@@ -202,6 +202,8 @@ def duplication_reachable(
     vertex duplication, up to max_vertices vertices (bounded BFS)."""
     if max_vertices > 12:
         raise LimitExceeded("duplication closure explored up to 12 vertices only")
+    from .census import canonical_form
+
     seen: set[bytes] = set()
     frontier = [start]
     seen.add(canonical_form(start, max_vertices))

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from . import modmat
 from .errors import LimitExceeded
 from .graphs import LabeledGraph, Orientation, _bits, complement, labels_at
+from .primes import decimal
 from .synthesis import GroupPlan, estimate_order
 
 SIGMA_PRIME_LIMIT = 12
@@ -364,10 +365,9 @@ class GroupModel:
         together with k's order are read off the transfer matrices.
         Independent of the structural rules in compute_prime_graph.
         """
-        if self.group_order() > BRUTE_FORCE_CAP:
-            raise LimitExceeded(
-                f"group order {self.group_order()} exceeds the cap {BRUTE_FORCE_CAP}"
-            )
+        order = self.group_order()
+        if order > BRUTE_FORCE_CAP:
+            raise LimitExceeded(f"group order {decimal(order)} exceeds the cap {BRUTE_FORCE_CAP}")
         labels = self._prime_labels()
         edges: set[tuple[str, str]] = set()
         for k, n_k in self._k_orders().items():

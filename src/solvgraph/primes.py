@@ -1,4 +1,4 @@
-"""Prime searches and multiplicative-order utilities.
+"""Prime searches, multiplicative-order utilities and exact decimals.
 
 Everything here works with exact integer arithmetic.  Primality is a
 Miller-Rabin test with the twelve prime bases 2..37, which is
@@ -13,6 +13,9 @@ from .errors import LimitExceeded
 # (the least strong pseudoprime to all of them is about 3.3 * 10**24).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIMALITY_LIMIT = 2**64
+# str() converts this many digits under any setting of the interpreter's
+# digit limit (sys.set_int_max_str_digits accepts no value below 640)
+_DECIMAL_PIECE = 600
 
 
 def is_prime(n: int) -> bool:
@@ -69,3 +72,19 @@ def elements_of_order(order: int, order_factors: tuple[int, ...], modulus: int):
             continue
         if all(pow(a, order // f, modulus) != 1 for f in order_factors):
             yield a
+
+
+def decimal(n: int) -> str:
+    """The exact decimal digits of n, however many.
+
+    From Python 3.11 (and 3.10.7) str() refuses an int of more than 4300
+    digits by default.  This peels off pieces that str() converts under
+    any limit, and changes no process-wide setting.
+    """
+    if n < 0:
+        return "-" + decimal(-n)
+    pieces = []
+    while n >= 10**_DECIMAL_PIECE:
+        n, low = divmod(n, 10**_DECIMAL_PIECE)
+        pieces.append(str(low).zfill(_DECIMAL_PIECE))
+    return str(n) + "".join(reversed(pieces))

@@ -18,11 +18,8 @@ from .graphs import (
     LabeledGraph,
     Orientation,
     _bits,
-    _largest_independent_sets,
-    _twin_masks,
     color_search,
     complement,
-    enumerate_graphs,
     find_triangle,
     girth,
 )
@@ -183,13 +180,16 @@ def exceptional_forests() -> tuple[LabeledGraph, ...]:
 
     Computed by exhaustive generation over at most 4 vertices (any forest
     on 5 or more vertices has an independent set of size 3), never
-    hard-coded.  No two of them have the same vertex and edge counts.
+    hard-coded.  No two of them have the same vertex and edge counts.  An
+    independent set of size 3 is a triangle of the complement.
     """
+    from .census import enumerate_graphs
+
     found = [
         g
         for n in range(1, 5)
         for g in enumerate_graphs(n)
-        if girth(g) == INFINITE_GIRTH and independence_number(g) < 3
+        if girth(g) == INFINITE_GIRTH and find_triangle(complement(g)) is None
     ]
     return tuple(sorted(found, key=_size))
 
@@ -198,12 +198,6 @@ def _size(g: LabeledGraph) -> tuple[int, int]:
     """Vertex and edge count, the edges counted on the rows: reading g.edges
     would build the edge set."""
     return g.n, sum(map(int.bit_count, g.rows)) // 2
-
-
-def independence_number(g: LabeledGraph) -> int:
-    """Maximum independent set size: the size of the first largest set
-    that canonical labeling lists (0 for the graph on no vertices)."""
-    return _largest_independent_sets(g.rows, _twin_masks(g.rows))[0].bit_count()
 
 
 def classify_girth(g: LabeledGraph) -> GirthClassification:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,24 @@ def test_synthesize_and_model_verbs(tmp_path, capsys):
     sigma_doc = json.loads(capsys.readouterr().out)
     assert sigma_doc["sigma"] == 2 and sigma_doc["prime_count"] == 5
     assert sigma_doc["within_triple_bound"] is True
+
+
+def test_group_orders_past_the_digit_limit_are_written_in_full(tmp_path, capsys, monkeypatch):
+    # a 5,000-digit order, above the 4,300 digits str() converts by default
+    digits = "7" + "".join(random.Random(5000).choice("0123456789") for _ in range(4999))
+    order = 0
+    for at in range(0, 5000, 500):
+        order = order * 10**500 + int(digits[at : at + 500])
+    monkeypatch.setattr("solvgraph.synthesis.estimate_order", lambda plan: order)
+    monkeypatch.setattr("solvgraph.model.estimate_order", lambda plan: order)
+
+    assert run(["synthesize", _write(tmp_path, "o.txt", PENTAGON_ARCS)]) == 0
+    plan_json = capsys.readouterr().out
+    assert json.loads(plan_json)["estimated_order"] == digits
+    assert run(["verify", _write(tmp_path, "plan.json", plan_json)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["group_order"] == digits
+    assert report["digraph_matches"] and report["prime_graph_matches"]
 
 
 def test_synthesize_per_arc_flag(tmp_path, capsys):

@@ -50,18 +50,10 @@ from solvgraph import (
     orientation_from_arcs,
     path_graph,
 )
+from solvgraph.census import _canonical_g6_cached, _children, _generated_forms, _twin_masks
 from solvgraph.errors import LimitExceeded
-from solvgraph.graphs import (
-    _canonical_g6_cached,
-    _children,
-    _generated_forms,
-    _twin_masks,
-    color_search,
-    g6_bytes_from_rows,
-    lex_least_coloring,
-    with_edge,
-    without_edge,
-)
+from solvgraph.formats import g6_bytes_from_rows
+from solvgraph.graphs import color_search, lex_least_coloring, with_edge, without_edge
 
 
 @st.composite

@@ -31,6 +31,7 @@ from solvgraph import (
 )
 from solvgraph import modmat
 from solvgraph.errors import LimitExceeded
+from solvgraph.formats import CONGRUENCE_PER_ARC
 from solvgraph.model import BRUTE_FORCE_CAP, round_trip_report
 
 
@@ -422,6 +423,18 @@ def test_brute_force_cap():
     plan = min((plan for _, plan in sweep_plans(6) if estimate_order(plan) > BRUTE_FORCE_CAP), key=estimate_order)
     message = f"group order {estimate_order(plan)} exceeds the cap {BRUTE_FORCE_CAP}"
     with pytest.raises(LimitExceeded, match=f"^{message}$"):
+        GroupModel(plan).brute_force_prime_graph()
+
+
+def test_brute_force_cap_on_an_order_of_4797_digits():
+    """The oracle refuses a group whose order str() cannot write by default:
+    per-arc synthesis on one of the 12 minimal graphs on 9 vertices, by
+    its canonical orientation."""
+    arcs = [(0, 7), (0, 8), (1, 7), (1, 8), (2, 7), (2, 8), (3, 6), (3, 8), (4, 6), (4, 8), (5, 6), (5, 8), (6, 7)]
+    o = orientation_from_arcs(map(str, range(9)), [(str(u), str(v)) for u, v in arcs])
+    plan = synthesize(o, congruence=CONGRUENCE_PER_ARC)
+    assert 10**4796 <= estimate_order(plan) < 10**4797
+    with pytest.raises(LimitExceeded, match=f"^group order [0-9]{{4797}} exceeds the cap {BRUTE_FORCE_CAP}$"):
         GroupModel(plan).brute_force_prime_graph()
 
 

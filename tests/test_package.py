@@ -18,16 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # The 61 public names of solvgraph 0.1.0, by defining module.
 PUBLIC_NAMES = {
     "analysis": ["DigraphAnalysis", "FittingBounds", "analyze", "fitting_bounds", "sigma_partition_bound"],
+    "census": ["canonical_form", "canonical_graph", "enumerate_graphs", "isomorphic"],
     "errors": ["FormatError", "LimitExceeded"],
     "formats": [
         "emit_arc_list", "emit_edge_list", "emit_graph6", "parse_arc_list", "parse_edge_list",
         "parse_graph6", "parse_graph_auto",
     ],
     "graphs": [
-        "Coloring", "INFINITE_GIRTH", "LabeledGraph", "Orientation", "canonical_form",
-        "canonical_graph", "color_with_at_most", "complement", "complete_graph", "cycle_graph",
-        "directed_neighborhood", "empty_graph", "enumerate_graphs", "find_triangle", "girth",
-        "isomorphic", "neighborhood", "orientation_from_arcs", "path_graph",
+        "Coloring", "INFINITE_GIRTH", "LabeledGraph", "Orientation", "color_with_at_most",
+        "complement", "complete_graph", "cycle_graph", "directed_neighborhood", "empty_graph",
+        "find_triangle", "girth", "neighborhood", "orientation_from_arcs", "path_graph",
     ],
     "minimality": [
         "MinimalityReport", "canonical_orientation", "check_minimal_lemmas", "contains_induced_c5",
@@ -221,17 +221,86 @@ def test_records_keep_their_value_semantics():
     assert "_index" in vars(graph) and "in_rows" in vars(arc) and "problems" in vars(plan)
 
 
+def _fresh_interpreter(code: str) -> None:
+    """Run code in a new interpreter on this checkout's sources; it passes
+    when the code raises nothing."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_benchmark_library_names_resolve():
     """The benchmark binds these library names, and the suite runs none of
     its own tests (testpaths), so a refactor that moved one would break the
     benchmark unseen.  perfbench/spans.py is loaded by path; worker.py is
-    not imported, as it starts its timing probe at import."""
+    not imported, as it starts its timing probe at import.
+
+    The benchmark reads three census names through graphs: each must be
+    the census object itself, so that the cache counter it reads is the
+    one the census fills, and graphs must not load census to offer them."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     calls = spans.library_calls()
     assert len(calls) == 18
     assert all(map(callable, calls.values()))
+    from solvgraph import census, graphs
     from solvgraph.graphs import _canonical_g6_cached
 
     assert callable(_canonical_g6_cached.cache_info)
+    for name in ("_canonical_g6_cached", "canonical_form", "enumerate_graphs"):
+        assert getattr(graphs, name) is getattr(census, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphs.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError):
+        graphs.canonical_graph  # noqa: B018
+    _fresh_interpreter(
+        "import sys\n"
+        "import solvgraph.graphs\n"
+        "assert 'solvgraph.census' not in sys.modules, sorted(sys.modules)\n"
+    )
+
+
+def test_only_the_census_verbs_load_the_census():
+    """Every verb but exceptions, minimal enumerate and classify-girth on a
+    forest runs without loading solvgraph.census."""
+    _fresh_interpreter(
+        """
+import contextlib, io, os, sys
+from solvgraph.cli import run
+
+data = os.path.join("perfbench", "data")
+graph, arcs, plan = (os.path.join(data, f) for f in ("c5.txt", "pentagon.arcs", "pentagon.plan.json"))
+verbs = [
+    ["check", graph], ["orient", graph], ["validate", arcs], ["classify-girth", graph],
+    ["minimal", "check", "--lemmas", graph], ["minimal", "duplicate", graph, "a"],
+    ["analyze", arcs], ["synthesize", arcs], ["prime-graph", plan], ["digraph", plan],
+    ["verify", plan], ["sigma", plan],
+]
+for argv in verbs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0, argv
+    assert "solvgraph.census" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["exceptions"]) == 0
+assert "solvgraph.census" in sys.modules
+"""
+    )
+
+
+def test_the_other_census_verbs_load_the_census(tmp_path):
+    forest = tmp_path / "forest.txt"
+    forest.write_text("a b\nb c\n")
+    for argv in (["minimal", "enumerate", "5"], ["classify-girth", str(forest)]):
+        _fresh_interpreter(
+            "import contextlib, io, sys\n"
+            "from solvgraph.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert run({argv!r}) == 0\n"
+            "assert 'solvgraph.census' in sys.modules\n"
+        )

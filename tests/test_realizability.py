@@ -50,14 +50,20 @@ from solvgraph import (
     path_graph,
     validate_frobenius_orientation,
 )
+from solvgraph.census import _largest_independent_sets, _twin_masks
 from solvgraph.cli import check_document
 from solvgraph.graphs import color_search, with_edge
 from solvgraph.realizability import (
     VIOLATION_NOT_3_COLORABLE,
     VIOLATION_TRIANGLE,
     OrientationViolation,
-    independence_number,
 )
+
+
+def independence_number(g: LabeledGraph) -> int:
+    """The size of the first largest independent set that canonical
+    labeling lists (0 for the graph on no vertices)."""
+    return _largest_independent_sets(g.rows, _twin_masks(g.rows))[0].bit_count()
 
 
 def test_c5_is_realizable_with_certificate():
