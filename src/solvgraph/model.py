@@ -19,6 +19,7 @@ and compared against the plan's orientation.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, prod
 from typing import NamedTuple
@@ -76,18 +77,26 @@ class GroupModel:
             else:
                 factors.append(_ModuleFactor(v, plan.prime_of[v], 1, {}))
         self.modules: tuple[_ModuleFactor, ...] = tuple(factors)
-        # Per K factor, the (source index, exponent) pairs that twist it:
-        # empty for sources and for doubles no source acts on.
+
+    # -- tables built on first use (round_trip_report reads neither) --------
+
+    @cached_property
+    def _twists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per K factor, the (source index, exponent) pairs that twist it:
+        empty for sources and for doubles no source acts on."""
         sources = {v: i for i, (v, _, role) in enumerate(self.k_factors) if role == "O"}
-        self._twists = tuple(
+        return tuple(
             tuple((sources[u], e) for (u, t), e in self.k_exponents.items() if t == v and u in sources)
             if role == "D"
             else ()
             for v, _, role in self.k_factors
         )
-        # Per module, its actors as (K index, matrix): doubles first, then
-        # sources, each in vertex order; the order rho multiplies them in.
-        self._actors = tuple(
+
+    @cached_property
+    def _actors(self) -> tuple[tuple[tuple[int, modmat.Monomial], ...], ...]:
+        """Per module, its actors as (K index, matrix): doubles first, then
+        sources, each in vertex order; the order rho multiplies them in."""
+        return tuple(
             tuple(
                 (i, f.action[v])
                 for role_wanted in ("D", "O")
@@ -337,40 +346,52 @@ class GroupModel:
                 best = size
         return best
 
-    def _k_orders(self) -> dict[tuple[int, ...], int]:
-        """Order of every K element by the group law alone.
+    def _cyclic_generators(self) -> list[tuple[tuple[int, ...], int]]:
+        """One generator of each cyclic subgroup of K, with its order, by
+        the group law alone.
 
-        Walks the cyclic subgroup of each element not reached yet, once:
-        if k, k**2, ..., k**m is the first return to the identity, k**i
-        has order m / gcd(i, m).
+        Walks the cyclic subgroup of each element not covered yet, once:
+        if k, k**2, ..., k**m is the first return to the identity, then for
+        each d dividing m with k**d not covered, k**d generates a new
+        subgroup of order n = m / d, and its generators k**(d j), j prime
+        to n, are covered.
         """
         identity = tuple(0 for _ in self.k_factors)
-        orders: dict[tuple[int, ...], int] = {}
+        covered: set[tuple[int, ...]] = set()
+        generators = []
         for k in product(*(range(p) for _, p, _ in self.k_factors)):
-            if k in orders:
+            if k in covered:
                 continue
             powers = [k]
             while powers[-1] != identity:
                 powers.append(self.k_multiply(powers[-1], k))
             m = len(powers)
-            for i, x in enumerate(powers, 1):
-                orders[x] = m // gcd(i, m)
-        return orders
+            for d in range(1, m + 1):
+                if m % d or powers[d - 1] in covered:
+                    continue
+                n = m // d
+                generators.append((powers[d - 1], n))
+                covered.update(powers[d * j - 1] for j in range(1, n + 1) if gcd(j, n) == 1)
+        return generators
 
     def brute_force_prime_graph(self) -> LabeledGraph:
         """Prime graph by exhausting the group elements.
 
-        Iterates every K element with its order from _k_orders; powers of
-        (w, k) accumulate the transfer sum of w, so the primes realized
-        together with k's order are read off the transfer matrices.
-        Independent of the structural rules in compute_prime_graph.
+        Iterates one generator k of each cyclic subgroup of K, with its
+        order from _cyclic_generators; powers of (w, k) accumulate the
+        transfer sum of w, so the primes realized together with k's order
+        are read off the transfer matrices.  The other generators k**e
+        realize the same primes: e is prime to ord(k), so some e' = e
+        (mod ord(k)) is prime to |G|, and x -> x**e' is an order-preserving
+        bijection of G that carries the elements over k onto those over
+        k**e.  Independent of the structural rules in compute_prime_graph.
         """
         order = self.group_order()
         if order > BRUTE_FORCE_CAP:
             raise LimitExceeded(f"group order {decimal(order)} exceeds the cap {BRUTE_FORCE_CAP}")
         labels = self._prime_labels()
         edges: set[tuple[str, str]] = set()
-        for k, n_k in self._k_orders().items():
+        for k, n_k in self._cyclic_generators():
             realized = [
                 str(p) for _, p, _ in self.k_factors if n_k % p == 0
             ]

@@ -1,7 +1,8 @@
 """Prime searches, multiplicative-order utilities and exact decimals.
 
-Everything here works with exact integer arithmetic.  Primality is a
-Miller-Rabin test with the twelve prime bases 2..37, which is
+Everything here works with exact integer arithmetic.  Primality is
+trial division by the twelve primes 2..37, which alone decides every
+n < 41**2, then a Miller-Rabin test with those primes as bases, which is
 deterministic for every n < 2**64; larger inputs are refused.
 """
 
@@ -29,6 +30,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 41 * 41:  # a composite below 41**2 has a prime factor up to 37
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

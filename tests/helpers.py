@@ -17,10 +17,14 @@ call; the table-driven versions must reproduce them exactly.
 reference_brute_force_prime_graph, reference_frobenius_digraph and
 reference_round_trip_report are the model's earlier oracle (k_order for
 every K element), arc-list digraph and label-based round trip; the
-sieved oracle, the out-mask digraph and the out-mask round trip must give
-the same graphs and reports.  transfer_sum_order is the model's earlier
-element order, which summed the powers of the module action on each
-coordinate; the fixed-component rule must give the same orders.
+oracle over one generator per cyclic subgroup, the out-mask digraph and
+the out-mask round trip must give the same graphs and reports.
+reference_k_orders is the model's earlier order sieve, every K element's
+order by the group law along its cyclic subgroup; k_order's closed form
+and the orders of the oracle's generators must agree with it.
+transfer_sum_order is the model's earlier element order, which summed
+the powers of the module action on each coordinate; the fixed-component
+rule must give the same orders.
 reference_validate, reference_analyze and reference_phi_sets are the
 earlier orientation algorithms on dicts of neighbour sets built from the
 arcs; the mask versions must reproduce their witnesses and sets exactly.
@@ -43,6 +47,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import gcd
 from operator import mul
 
 from solvgraph import (
@@ -593,8 +598,8 @@ def all_valid_orientations(f: LabeledGraph):
 
 
 def model_sigma_by_enumeration(model: GroupModel) -> int:
-    """Max distinct primes in one element order, from the K sweep used by
-    the brute-force edge oracle, in dense matrix arithmetic."""
+    """Max distinct primes in one element order, from a sweep of every K
+    element with its transfer sums, in dense matrix arithmetic."""
     best = 0
     ranges = [range(p) for _, p, _ in model.k_factors]
     for k in product(*ranges):
@@ -758,6 +763,27 @@ def reference_frobenius_digraph(model: GroupModel) -> Orientation:
             if not modmat.has_fixed_vector(mat, f.prime):
                 arcs.append((label[v], str(f.prime)))
     return orientation_from_arcs(model._prime_labels(), arcs)
+
+
+def reference_k_orders(model: GroupModel) -> dict[tuple[int, ...], int]:
+    """Order of every K element by the group law alone.
+
+    Walks the cyclic subgroup of each element not reached yet, once:
+    if k, k**2, ..., k**m is the first return to the identity, k**i
+    has order m / gcd(i, m).
+    """
+    identity = tuple(0 for _ in model.k_factors)
+    orders: dict[tuple[int, ...], int] = {}
+    for k in product(*(range(p) for _, p, _ in model.k_factors)):
+        if k in orders:
+            continue
+        powers = [k]
+        while powers[-1] != identity:
+            powers.append(model.k_multiply(powers[-1], k))
+        m = len(powers)
+        for i, x in enumerate(powers, 1):
+            orders[x] = m // gcd(i, m)
+    return orders
 
 
 def reference_brute_force_prime_graph(model: GroupModel, cap: int = BRUTE_FORCE_CAP) -> LabeledGraph:

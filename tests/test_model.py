@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -15,6 +17,7 @@ from helpers import (
     reference_brute_force_prime_graph,
     reference_frobenius_digraph,
     reference_k_multiply,
+    reference_k_orders,
     reference_rho,
     reference_round_trip_report,
     sweep_plans,
@@ -50,6 +53,11 @@ def _trivial_model(labels) -> GroupModel:
 def _oracle_models() -> list[GroupModel]:
     """The sweep models small enough for brute_force_prime_graph."""
     return [GroupModel(plan) for _, plan in sweep_plans(6) if estimate_order(plan) <= BRUTE_FORCE_CAP]
+
+
+def _global_oracle_models() -> list[GroupModel]:
+    """The global-congruence sweep models small enough for the oracle."""
+    return [GroupModel(plan) for plan in global_sweep_plans(6) if estimate_order(plan) <= BRUTE_FORCE_CAP]
 
 
 def test_multiply_in_six_element_model():
@@ -175,6 +183,18 @@ def test_round_trip_matches_reference_per_arc():
     """The out-mask round trip gives the label-based reports over the sweep."""
     for o, plan in sweep_plans(6):
         assert round_trip_report(plan) == reference_round_trip_report(plan), o.arcs
+
+
+def test_round_trip_builds_no_arithmetic_tables():
+    """The digraph and prime graph leave the K twists and module actors
+    unbuilt; the first product or action builds them."""
+    m = _pentagon_model()
+    m.compute_frobenius_digraph()
+    m.compute_prime_graph()
+    assert "_twists" not in vars(m) and "_actors" not in vars(m)
+    x = m.random_element(random.Random(5))
+    assert m.multiply(x, m.identity()) == x
+    assert "_twists" in vars(m) and "_actors" in vars(m)
 
 
 def _round_trip_with_arc(monkeypatch, plan, edit) -> tuple[bool, bool, bool]:
@@ -342,11 +362,12 @@ def test_brute_force_examples():
 
 
 def test_brute_force_matches_structural_on_sweep():
-    """On every sweep model within the cap, the oracle recomputes the
-    structural prime graph, and the earlier oracle agrees."""
-    models = _oracle_models()
-    assert len(models) == 188
-    for m in models:
+    """On every sweep model within the cap, in both congruence modes, the
+    oracle recomputes the structural prime graph, and the earlier oracle,
+    which tests every K element, agrees."""
+    per_arc, global_models = _oracle_models(), _global_oracle_models()
+    assert (len(per_arc), len(global_models)) == (188, 178)
+    for m in per_arc + global_models:
         enumerated = m.brute_force_prime_graph()
         assert enumerated == m.compute_prime_graph()
         assert enumerated == reference_brute_force_prime_graph(m)
@@ -356,13 +377,37 @@ def test_sieved_k_orders_match_k_order():
     """The cyclic-subgroup sieve, by the group law, gives k_order's closed
     form on every K element of every sweep model within the cap, in both
     congruence modes."""
-    global_models = [GroupModel(plan) for plan in global_sweep_plans(6) if estimate_order(plan) <= BRUTE_FORCE_CAP]
     total = 0
-    for m in _oracle_models() + global_models:
+    for m in _oracle_models() + _global_oracle_models():
         elements = list(product(*(range(p) for _, p, _ in m.k_factors)))
-        assert m._k_orders() == {k: m.k_order(k) for k in elements}
+        assert reference_k_orders(m) == {k: m.k_order(k) for k in elements}
         total += len(elements)
     assert total == 4426 + 4282
+
+
+def test_cyclic_generators_cover_k_once():
+    """Over the sweep models within the cap, in both congruence modes,
+    every K element is g**e for exactly one recorded generator g and one
+    e prime to ord(g), and each recorded order is the order the group law
+    gives: 1,388 generators stand for 4,426 per-arc K elements, 1,300 for
+    4,282 global ones."""
+    for models, expected in ((_oracle_models(), (1388, 4426)), (_global_oracle_models(), (1300, 4282))):
+        generators = elements = 0
+        for m in models:
+            orders = reference_k_orders(m)
+            identity = m.identity().k
+            reached = Counter()
+            for g, n in m._cyclic_generators():
+                assert orders[g] == n
+                power = identity
+                for e in range(1, n + 1):
+                    power = m.k_multiply(power, g)
+                    if gcd(e, n) == 1:
+                        reached[power] += 1
+                generators += 1
+            assert reached == Counter(orders.keys())
+            elements += len(orders)
+        assert (generators, elements) == expected
 
 
 def test_k_order_counts_coordinates_mod_their_primes():

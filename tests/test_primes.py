@@ -38,6 +38,17 @@ def test_is_prime_refuses_inputs_from_2_to_the_64():
         is_prime(2**89 - 1)
 
 
+def test_is_prime_agrees_with_a_sieve():
+    """Every n < 5,000 against a sieve of Eratosthenes: trial division
+    alone decides n < 41**2 = 1681, Miller-Rabin the rest."""
+    limit = 5_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [is_prime(n) for n in range(limit)] == sieve
+
+
 def test_is_prime_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")  # optional test oracle
 

@@ -21,6 +21,7 @@ from helpers import (
     sweep_plans,
 )
 from solvgraph import (
+    GroupPlan,
     build_k_action,
     build_module,
     directed_neighborhood,
@@ -440,3 +441,44 @@ def test_validate_plan_matches_the_reference_on_corrupted_plans():
             corrupted += 1
             with_problems += bool(problems)
     assert corrupted > 3000 and with_problems > 500, (corrupted, with_problems)
+
+
+def _phi1_corruptions(plan):
+    """Copies of a plan with one matrix of a 1-in-neighborhood actor
+    changed each: squared, which keeps it commuting with the other actors
+    there; conjugated by the swap of the first two basis vectors, which
+    keeps its order; and with its first scale squared, which makes a
+    scalar matrix act unevenly."""
+    for v, spec in sorted(plan.modules.items()):
+        r = spec.characteristic
+        phi1, _ = phi_sets(plan.orientation, v)
+        for w in sorted(phi1):
+            mat = spec.generator_action[w]
+            perm, scale = mat
+            changes = [modmat.multiply(mat, mat, r), (perm, (scale[0] ** 2 % r,) + scale[1:])]
+            if spec.dimension > 1:
+                swap = (1, 0) + tuple(range(2, spec.dimension)), (1,) * spec.dimension
+                changes.append(modmat.multiply(modmat.multiply(swap, mat, r), swap, r))
+            for new in changes:
+                action = {**spec.generator_action, w: new}
+                yield GroupPlan(
+                    plan.orientation,
+                    plan.prime_of,
+                    plan.k_actions,
+                    {**plan.modules, v: spec._replace(generator_action=action)},
+                    plan.congruence,
+                )
+
+
+def test_validate_plan_matches_the_reference_on_corrupted_phi1_matrices():
+    """Problem lists, order included, against the earlier self-check, which
+    also tested again the pairs inside the 1-in-neighborhood, on every
+    per-arc sweep plan with one such matrix changed."""
+    corrupted = with_problems = 0
+    for _, plan in sweep_plans():
+        for broken in _phi1_corruptions(plan):
+            problems = validate_plan(broken)
+            assert problems == reference_validate_plan(broken)
+            corrupted += 1
+            with_problems += bool(problems)
+    assert (corrupted, with_problems) == (5478, 2487)
