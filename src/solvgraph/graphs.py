@@ -160,8 +160,22 @@ class LabeledGraph(Frozen):
         ]
 
 
+# _SMALL_BITS[mask] lists the set bits of each mask below 256, built by
+# doubling: each step appends a copy of the list with the next bit added.
+_SMALL_BITS = [()]
+for _i in range(8):
+    _SMALL_BITS += [bits + (_i,) for bits in _SMALL_BITS]
+
+
 def _bits(mask: int):
-    """Positions of the set bits of mask, ascending."""
+    """Positions of the set bits of mask, ascending: a tuple from a table
+    below 256, a lazy generator above."""
+    if 0 <= mask < 256:
+        return _SMALL_BITS[mask]
+    return _bits_lazy(mask)
+
+
+def _bits_lazy(mask: int):
     while mask:
         low = mask & -mask
         mask ^= low

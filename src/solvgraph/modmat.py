@@ -105,6 +105,12 @@ def _cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
+@lru_cache(maxsize=256)
+def cycle_lengths(perm: tuple[int, ...]) -> frozenset[int]:
+    """The distinct cycle lengths of a permutation, memoized like _cycles."""
+    return frozenset(map(len, _cycles(perm)))
+
+
 def _product(scale, cycle, r: int) -> int:
     """The product c of the scales along a cycle."""
     c = 1

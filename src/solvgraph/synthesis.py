@@ -209,6 +209,30 @@ def verify_module(
     single action of the top group: the source matrices commute, and
     conjugating a double's matrix by a source's matrix matches the
     exponent action on the cyclic factor.
+
+    The synthesizer's matrices are diagonal (perm the identity) on the
+    1-in-neighborhood and unit permutations (every scale exactly 1) on
+    the 2-in-neighborhood, and for those the invariants are read off the
+    scale vector or the cycle lengths; any other matrix goes through the
+    modmat kernels.  Each reading is the kernel's answer written out for
+    that form, so verdicts and messages do not depend on the route:
+
+    * order p: a diagonal matrix's cycles are its entries, so its p-th
+      power is the identity iff c**p = 1 for every entry c; a unit
+      permutation's cycles all have scale product 1, so iff every cycle
+      length divides p;
+    * two diagonal matrices commute; a diagonal D and a unit permutation
+      P give the products D P and P D with the same perm P and the scales
+      D[P[j]] and D[j], so they commute iff those agree mod r;
+    * when the 1-in-neighborhood matrices are all diagonal, so is their
+      product g, with the entrywise product of their scales; g**e fixes a
+      vector iff some entry c has c**e = 1;
+    * a unit permutation fixes the sum over each cycle; a diagonal matrix
+      fixes a vector iff some entry is 1 mod r (not only an entry written
+      as 1: the scales need not be reduced);
+    * for a diagonal w with entries c and any s = (perm, scale), s w and
+      w**e s share the perm of s and have the scales c[j] scale[j] and
+      scale[j] c[perm[j]]**e.
     """
     spec = plan.modules[v]
     r = spec.characteristic
@@ -222,17 +246,39 @@ def verify_module(
         if len(mats[w][0]) != d:
             return [f"matrix for {w!r} has wrong shape"]
     identity = modmat.identity(d)
+    ident, ones = identity
+    diagonal = {w for w in acting if mats[w][0] == ident and len(mats[w][1]) == d}
+    unit = {w for w in acting if mats[w][1] == ones}
+
+    def has_order(w: str, p: int) -> bool:
+        perm, scale = mats[w]
+        if w in diagonal:
+            return all(pow(c, p, r) == 1 for c in scale)
+        if w in unit:
+            return all(p % length == 0 for length in modmat.cycle_lengths(perm))
+        return modmat.power_is_identity(mats[w], p, r)
+
+    def commute(w: str, u: str) -> bool:
+        if w in unit and u in diagonal:
+            w, u = u, w
+        if w in diagonal and u in diagonal:
+            return True
+        if w in diagonal and u in unit:
+            scale = mats[w][1]
+            return all(scale[i] % r == scale[j] % r for j, i in enumerate(mats[u][0]))
+        return modmat.commute(mats[w], mats[u], r)
+
     problems = []
     for w in acting:
         p_w = plan.prime_of[w]
         if mats[w] == identity:
             problems.append(f"matrix for {w!r} is the identity")
-        elif not modmat.power_is_identity(mats[w], p_w, r):
+        elif not has_order(w, p_w):
             problems.append(f"matrix for {w!r} does not have order {p_w}")
     phi1_list = [w for w in acting if w in phi1]
     for i, w in enumerate(phi1_list):
         for u in phi1_list[i + 1 :]:
-            if not modmat.commute(mats[w], mats[u], r):
+            if not commute(w, u):
                 problems.append(f"matrices for {w!r} and {u!r} do not commute")
     if problems:
         return problems
@@ -242,15 +288,27 @@ def verify_module(
     # vector, so does g**gcd(k, m), and with it g**(m/p) for a prime p
     # dividing m: those powers are the only ones to test.
     m = math.prod(plan.prime_of[w] for w in phi1)
-    generator = identity
-    for w in phi1_list:
-        generator = modmat.multiply(generator, mats[w], r)
-    if modmat.has_fixed_vector(generator, r, [m // plan.prime_of[w] for w in phi1_list]):
+    exponents = [m // plan.prime_of[w] for w in phi1_list]
+    if diagonal.issuperset(phi1_list):
+        entries = set(map(math.prod, zip(*(mats[w][1] for w in phi1_list))))
+        fixed = any(pow(c, e, r) == 1 for c in entries for e in exponents)
+    else:
+        generator = identity
+        for w in phi1_list:
+            generator = modmat.multiply(generator, mats[w], r)
+        fixed = modmat.has_fixed_vector(generator, r, exponents)
+    if fixed:
         problems.append("fixed point in the span of the 1-in-neighborhood action")
     # The nontrivial powers of a matrix of prime order span the same
     # group, so they share one fixed space.
     for s in acting:
-        if s in phi2 and not modmat.has_fixed_vector(mats[s], r):
+        if s not in phi2 or s in unit:
+            continue
+        if s in diagonal:
+            fixes = any(c % r == 1 for c in mats[s][1])
+        else:
+            fixes = modmat.has_fixed_vector(mats[s], r)
+        if not fixes:
             problems.append(f"no fixed space for any power of the matrix of {s!r}")
     if problems:
         return problems
@@ -264,7 +322,7 @@ def verify_module(
     t_actors = [w for w in labels_at(o.vertices, o.sources) if w in mats]
     for i, w in enumerate(t_actors):
         for u in t_actors[i + 1 :]:
-            if not (w in phi1 and u in phi1) and not modmat.commute(mats[w], mats[u], r):
+            if not (w in phi1 and u in phi1) and not commute(w, u):
                 problems.append(f"module {v!r}: matrices of {w!r} and {u!r} must commute")
     # s w s**-1 = w**e, checked as s w = w**e s: s is invertible, its
     # order was checked above.
@@ -273,8 +331,14 @@ def verify_module(
             e = plan.k_actions.get((s, w), 1)
             if e == 1 and s in phi1:
                 continue
-            twisted = modmat.multiply(modmat.power(mats[w], e, r), mats[s], r)
-            if modmat.multiply(mats[s], mats[w], r) != twisted:
+            if w in diagonal:
+                perm, scale = mats[s]
+                c = mats[w][1]
+                agree = all(c[j] * scale[j] % r == scale[j] * pow(c[i], e, r) % r for j, i in enumerate(perm))
+            else:
+                twisted = modmat.multiply(modmat.power(mats[w], e, r), mats[s], r)
+                agree = modmat.multiply(mats[s], mats[w], r) == twisted
+            if not agree:
                 problems.append(
                     f"module {v!r}: conjugation by {s!r} disagrees with the "
                     f"exponent action on {w!r}"

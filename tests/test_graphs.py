@@ -53,7 +53,7 @@ from solvgraph import (
 from solvgraph.census import _canonical_g6_cached, _children, _generated_forms, _twin_masks
 from solvgraph.errors import LimitExceeded
 from solvgraph.formats import g6_bytes_from_rows
-from solvgraph.graphs import color_search, lex_least_coloring, with_edge, without_edge
+from solvgraph.graphs import _bits, _bits_lazy, color_search, lex_least_coloring, with_edge, without_edge
 
 
 @st.composite
@@ -274,6 +274,23 @@ def test_edges_and_arcs_are_built_on_each_read_and_not_kept():
     assert after - before < 4096
     assert [set(vars(x)) for x in (g, o, o.underlying)] == kept
     assert "edges" not in vars(g) and "arcs" not in vars(o)
+
+
+def test_bits_from_the_table_match_the_generator():
+    """Masks below 256 read their bit positions from a table, larger ones
+    from the lazy generator; both list the positions of the binary
+    digits in ascending order, on every mask below 2**12 and on seeded
+    masks up to 2**300."""
+    rng = random.Random(29)
+    masks = list(range(2**12)) + [rng.getrandbits(rng.randrange(1, 301)) for _ in range(200)]
+    for mask in masks:
+        expected = [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+        assert list(_bits(mask)) == list(_bits_lazy(mask)) == expected, mask
+
+
+def test_bits_above_the_table_stay_lazy():
+    """The first position of a huge mask comes without listing the rest."""
+    assert next(iter(_bits(1 << 10**6 | 1))) == 0
 
 
 def test_complement_examples():

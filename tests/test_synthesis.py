@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import random
 import re
 
 import pytest
@@ -37,6 +39,7 @@ from solvgraph import (
 )
 from solvgraph import modmat
 from solvgraph.errors import LimitExceeded
+from solvgraph.formats import CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC
 from solvgraph.graphs import labels_at
 from solvgraph.modmat import to_rows
 from solvgraph.primes import is_prime, smallest_prime
@@ -482,3 +485,166 @@ def test_validate_plan_matches_the_reference_on_corrupted_phi1_matrices():
             corrupted += 1
             with_problems += bool(problems)
     assert (corrupted, with_problems) == (5478, 2487)
+
+
+def _unit_permutation(rng, d: int, p: int):
+    """A unit permutation of dimension d: mostly a product of disjoint
+    p-cycles (order p), sometimes any shuffle."""
+    idx = list(range(d))
+    rng.shuffle(idx)
+    if rng.random() < 0.2:
+        return tuple(idx), (1,) * d
+    perm = list(range(d))
+    for start in range(0, d - p + 1, p):
+        if rng.random() < 0.8:
+            cycle = idx[start : start + p]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[a] = b
+    return tuple(perm), (1,) * d
+
+
+def _random_action(rng, spec, w: str, p: int):
+    """A replacement for the matrix of w in a module: its scales partly
+    written as c + r, a diagonal or scalar matrix of roots of unity (1
+    written as r + 1 included), a diagonal constant on the cycles of
+    another actor's permutation, a unit permutation, a conjugate by a
+    unit permutation or by a diagonal (a scaled permutation of the same
+    order), or a random monomial matrix."""
+    r, d, mats = spec
+    perm, scale = mats[w]
+    ident = tuple(range(d))
+    roots = [c for c in range(1, r) if pow(c, p, r) == 1]
+
+    def lifted(c):
+        return c + r if rng.random() < 0.5 else c
+
+    kind = rng.choice(("lift", "scalar", "roots", "blocks", "unit", "conj", "monomial"))
+    if kind == "lift":
+        return perm, tuple(map(lifted, scale))
+    if kind == "scalar":
+        return ident, (lifted(rng.choice(roots)),) * d
+    if kind == "roots":
+        return ident, tuple(lifted(rng.choice(roots)) for _ in ident)
+    if kind == "blocks":
+        others = [mats[u][0] for u in sorted(mats) if u != w] or [ident]
+        entries = [lifted(rng.choice(roots + [rng.randrange(1, r)])) for _ in ident]
+        along = rng.choice(others)
+        for cycle in modmat._cycles(along):
+            for j in cycle:
+                entries[j] = entries[cycle[0]] if rng.random() < 0.9 else lifted(entries[cycle[0]] % r)
+        return ident, tuple(entries)
+    if kind == "unit":
+        return _unit_permutation(rng, d, p)
+    if kind == "conj":
+        if rng.random() < 0.5:
+            q = _unit_permutation(rng, d, rng.choice((2, 3, d)))
+        else:
+            q = ident, tuple(rng.randrange(1, r) for _ in ident)
+        inverse = modmat.power(q, math.lcm(*range(1, d + 1)) * (r - 1) - 1, r)
+        return modmat.multiply(modmat.multiply(q, mats[w], r), inverse, r)
+    shuffled = list(ident)
+    rng.shuffle(shuffled)
+    return tuple(shuffled), tuple(rng.randrange(1, 2 * r) for _ in ident)
+
+
+STRUCTURE_ORIENTATIONS = (
+    pentagon_orientation,
+    lambda: orientation_from_arcs("abcv", [("a", "v"), ("b", "c"), ("c", "v")]),
+    lambda: orientation_from_arcs(["as", "d", "v", "zs"], [("zs", "d"), ("as", "d"), ("d", "v")]),
+)
+
+
+def test_structural_module_checks_match_the_kernel_route():
+    """validate_plan reads the invariants of diagonal matrices and unit
+    permutations from their scales and cycle lengths; the reference runs
+    every check through the modmat kernels.  Problem lists must agree on
+    seeded variants of small plans (the pentagon, a -> v <- c <- b and
+    zs, as -> d -> v, in both congruence modes) with one to three module
+    matrices replaced and the action exponents sometimes set to 0, 1,
+    q + 1 or a random value.  Vertex order is label order here and the
+    actions are listed in it, so that both routes name the actors in the
+    same order.  Every module message must come up."""
+    rng = random.Random(29)
+    templates = {}
+    clean = 0
+    for make in STRUCTURE_ORIENTATIONS:
+        o = make()
+        assert list(o.vertices) == sorted(o.vertices)
+        for congruence in (CONGRUENCE_GLOBAL, CONGRUENCE_PER_ARC):
+            plan = synthesize(o, congruence=congruence)
+            for _ in range(400):
+                modules = {}
+                for v, spec in plan.modules.items():
+                    mats = dict(spec.generator_action)
+                    for w in rng.sample(sorted(mats), rng.randint(0, min(3, len(mats)))):
+                        mats[w] = _random_action(rng, spec, w, plan.prime_of[w])
+                    modules[v] = spec._replace(generator_action=dict(sorted(mats.items())))
+                k_actions = {
+                    (s, w): rng.choice((e, e, 0, 1, plan.prime_of[w] + 1, rng.randrange(2 * plan.prime_of[w])))
+                    for (s, w), e in plan.k_actions.items()
+                }
+                variant = GroupPlan(o, plan.prime_of, k_actions, modules, congruence)
+                problems = validate_plan(variant)
+                assert problems == reference_validate_plan(variant), (variant, problems)
+                clean += not problems
+                for problem in problems:
+                    templates.setdefault(re.sub(r"'[^']*'|\d+", "_", problem), problem)
+    assert clean > 100, clean
+    assert set(templates) >= {
+        "matrix for _ is the identity",
+        "matrix for _ does not have order _",
+        "matrices for _ and _ do not commute",
+        "fixed point in the span of the _-in-neighborhood action",
+        "no fixed space for any power of the matrix of _",
+        "module _: matrices of _ and _ must commute",
+        "module _: conjugation by _ disagrees with the exponent action on _",
+        "exponent _ for _->_ has wrong order",
+    }, sorted(templates)
+
+
+def test_diagonal_fixed_space_reads_scales_mod_r():
+    """A 2-in-neighborhood matrix written diag(r + 1, ...) is the identity
+    mod r without being the identity as written: it has order dividing
+    its prime and fixes every vector, so its module fails only at the
+    conjugation, whose exponent is not 1 mod q.  With exponent q + 1 it
+    passes (and the exponent check flags q + 1)."""
+    o = STRUCTURE_ORIENTATIONS[1]()
+    plan = synthesize(o)
+    spec = plan.modules["v"]
+    r = spec.characteristic
+    action = {**spec.generator_action, "b": ((0, 1, 2), (r + 1, 1, r + 1))}
+    broken = GroupPlan(o, plan.prime_of, plan.k_actions, {"v": spec._replace(generator_action=action)}, plan.congruence)
+    assert validate_plan(broken) == reference_validate_plan(broken) == [
+        "module 'v': conjugation by 'b' disagrees with the exponent action on 'c'"
+    ]
+    q = plan.prime_of["c"]
+    lifted = GroupPlan(o, plan.prime_of, {("b", "c"): q + 1}, broken.modules, plan.congruence)
+    assert validate_plan(lifted) == reference_validate_plan(lifted) == [
+        f"exponent {q + 1} for 'b'->'c' has wrong order"
+    ]
+    # A scale vector longer than the perm is not read as a diagonal: the
+    # kernels, like the reference, ignore the entries past the dimension.
+    action = {**spec.generator_action, "a": ((0, 1, 2), (r - 1,) * 3 + (5,))}
+    padded = GroupPlan(o, plan.prime_of, plan.k_actions, {"v": spec._replace(generator_action=action)}, plan.congruence)
+    assert validate_plan(padded) == reference_validate_plan(padded) == []
+
+
+@pytest.mark.parametrize("plans", [sweep_plans, global_sweep_plans], ids=["per-arc", "global"])
+def test_sweep_modules_have_the_structural_form(plans):
+    """Every module the synthesizer builds over the sweep acts diagonally
+    through its 1-in-neighborhood and by unit permutations through its
+    2-in-neighborhood, the form verify_module reads its invariants from
+    without the modmat kernels."""
+    modules = 0
+    for item in plans():
+        plan = item[1] if isinstance(item, tuple) else item
+        for v, spec in plan.modules.items():
+            phi1, phi2 = phi_sets(plan.orientation, v)
+            ident, ones = modmat.identity(spec.dimension)
+            for w, (perm, scale) in spec.generator_action.items():
+                if w in phi1:
+                    assert perm == ident and len(scale) == spec.dimension, (v, w)
+                else:
+                    assert w in phi2 and scale == ones, (v, w)
+            modules += 1
+    assert modules > 600
