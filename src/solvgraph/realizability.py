@@ -78,18 +78,27 @@ def is_solvable_prime_graph(g: LabeledGraph) -> RealizabilityVerdict:
 def orient_from_coloring(f: LabeledGraph, coloring: Coloring) -> Orientation:
     """Direct every edge of f from lower to higher color index.
 
-    Needs a proper coloring with at most 3 colors; the result is acyclic
-    and has no directed path with 3 arcs, since colors only increase
-    along arcs and there are at most 3 levels.
+    Needs a proper coloring of f with the colors 0, 1 and 2 only.  Colors
+    rise along every arc and there are at most 3 levels, so the result has
+    no directed cycle and no directed path with 3 arcs.  It is marked as
+    layered, and ``validate_frobenius_orientation`` then searches it for a
+    triangle only: a triangle is 3-colorable, so the coloring does not rule
+    one out.
     """
-    if coloring.num_colors() > 3:
-        raise ValueError("coloring uses more than 3 colors")
     masks = coloring.class_masks(f)
     if masks is None:
         raise ValueError("coloring is not proper on the graph")
+    outside = masks.keys() - {0, 1, 2}
+    if outside:
+        if all(isinstance(c, int) and c > 2 for c in outside):
+            raise ValueError("coloring uses more than 3 colors")
+        shown = ", ".join(sorted(map(repr, outside)))
+        raise ValueError(f"coloring uses colors other than 0, 1 and 2: {shown}")
     above = {c: sum(m for d, m in masks.items() if d > c) for c in masks}
     colors = (coloring.assignment[v] for v in f.vertices)
-    return Orientation.from_out_rows(f, [row & above[c] for row, c in zip(f.rows, colors)])
+    o = Orientation.from_out_rows(f, [row & above[c] for row, c in zip(f.rows, colors)])
+    vars(o)["_layered"] = True
+    return o
 
 
 class OrientationViolation(NamedTuple):
@@ -104,15 +113,22 @@ def validate_frobenius_orientation(o: Orientation) -> list[OrientationViolation]
     Witnesses are chosen deterministically (least under vertex order) so
     repeated runs report identical violations.  An orientation does not
     change once built, so o keeps this verdict and the witness searches run
-    once per orientation; each call returns a fresh list.
+    once per orientation; each call returns a fresh list.  An orientation
+    from ``orient_from_coloring`` is layered by its colors, which rise along
+    every arc over at most 3 levels, so it has neither a cycle nor a
+    directed 3-path, and only its triangle search runs.
     """
     kept = vars(o)
     if "_violations" not in kept:
-        witnesses = (
-            ("cycle", _least_cycle(o)),
-            ("directed-3-path", _least_directed_3_path(o)),
-            ("triangle", find_triangle(o.underlying)),
-        )
+        triangle = ("triangle", find_triangle(o.underlying))
+        if kept.get("_layered"):
+            witnesses = (triangle,)
+        else:
+            witnesses = (
+                ("cycle", _least_cycle(o)),
+                ("directed-3-path", _least_directed_3_path(o)),
+                triangle,
+            )
         kept["_violations"] = tuple(
             OrientationViolation(kind, w) for kind, w in witnesses if w is not None
         )

@@ -21,6 +21,7 @@ from helpers import (
     oracle_max_clique,
     orientation_sweep,
     pentagon_orientation,
+    planted_three_colorable,
     random_graph,
     random_orientations,
     reference_color_search,
@@ -33,6 +34,7 @@ from solvgraph import (
     LabeledGraph,
     Orientation,
     analyze,
+    canonical_orientation,
     classify_girth,
     complement,
     complete_graph,
@@ -135,8 +137,98 @@ def test_orient_from_coloring_rejects_improper_and_wide():
     with pytest.raises(ValueError):
         orient_from_coloring(f, Coloring({"u": 0, "v": 0}))
     square = cycle_graph("abcd")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than 3 colors"):
         orient_from_coloring(square, Coloring({"a": 0, "b": 1, "c": 2, "d": 3}))
+    # 4 levels along a path: -1 -> 0 -> 1 -> 2 would be a directed 3-path
+    path = path_graph("abcd")
+    for odd in (-1, "x", 1.5):
+        with pytest.raises(ValueError, match="colors other than 0, 1 and 2"):
+            orient_from_coloring(path, Coloring({"a": odd, "b": 0, "c": 1, "d": 2}))
+
+
+def random_proper_coloring(rng: random.Random, g: LabeledGraph) -> Coloring | None:
+    """A proper coloring of g with colors in {0, 1, 2}, each vertex trying
+    them in a random order (backtracking); None if g is not 3-colorable."""
+    colors = [0] * g.n
+
+    def extend(i: int) -> bool:
+        if i == g.n:
+            return True
+        for c in rng.sample(range(3), 3):
+            if all(colors[j] != c for j in range(i) if g.rows[i] >> j & 1):
+                colors[i] = c
+                if extend(i + 1):
+                    return True
+        return False
+
+    return Coloring(dict(zip(g.vertices, colors))) if extend(0) else None
+
+
+def test_layered_verdict_matches_the_reference():
+    """The triangle search alone on a colouring's orientation gives the
+    whole violation list, witnesses included, that all three searches give."""
+    rng = random.Random(30)
+    seen = with_triangle = 0
+    while seen < 1500:
+        g = random_graph(rng, rng.randrange(1, 10), rng.random() * 0.6)
+        coloring = random_proper_coloring(rng, g)
+        if coloring is None:
+            continue
+        o = orient_from_coloring(g, coloring)
+        found = validate_frobenius_orientation(o)
+        assert found == reference_validate(o), (g.sorted_edges(), coloring)
+        with_triangle += bool(found)
+        seen += 1
+    assert with_triangle > 200
+    cases = with_triangle = 0
+    for n in range(3, 30, 2):
+        for g in (
+            complement(planted_three_colorable(rng, n, rng.randrange(3 * n))),
+            complement(maximal_triangle_free(rng, n)),
+        ):
+            if color_search(complement(g), 3)[0] is None:
+                continue
+            o = canonical_orientation(g)
+            found = validate_frobenius_orientation(o)
+            assert found == reference_validate(o)
+            with_triangle += bool(found)
+            cases += 1
+    assert cases > 20 and 0 < with_triangle < cases
+
+
+class SearchRan(Exception):
+    pass
+
+
+def test_layered_orientations_skip_the_cycle_and_3_path_searches(monkeypatch):
+    from solvgraph import realizability
+
+    def refuse(o):
+        raise SearchRan
+
+    monkeypatch.setattr(realizability, "_least_cycle", refuse)
+    monkeypatch.setattr(realizability, "_least_directed_3_path", refuse)
+    pentagon = canonical_orientation(cycle_graph("abcde"))
+    assert validate_frobenius_orientation(pentagon) == []
+    # the complement of the empty graph on 3 vertices is a 3-colourable triangle
+    triangle = canonical_orientation(empty_graph("abc"))
+    first = validate_frobenius_orientation(triangle)
+    assert first == [OrientationViolation("triangle", ("a", "b", "c"))]
+    first.clear()
+    assert validate_frobenius_orientation(triangle) == [OrientationViolation("triangle", ("a", "b", "c"))]
+    assert validate_frobenius_orientation(triangle) is not validate_frobenius_orientation(triangle)
+    f = complement(cycle_graph("abcde"))
+    colored = orient_from_coloring(f, Coloring({"a": 0, "c": 1, "e": 0, "b": 1, "d": 2}))
+    assert validate_frobenius_orientation(colored) == []
+    # the marker is not a field: an equal orientation built from its arcs
+    # compares and hashes alike, and runs the searches
+    for o in (pentagon, triangle, colored):
+        again = Orientation(o.underlying, o.sorted_arcs())
+        assert again == o and hash(again) == hash(o) and repr(again) == repr(o)
+        with pytest.raises(SearchRan):
+            validate_frobenius_orientation(again)
+    with pytest.raises(SearchRan):
+        validate_frobenius_orientation(orientation_from_arcs("ab", [("a", "b")]))
 
 
 def test_validator_examples():
